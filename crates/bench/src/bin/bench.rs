@@ -2,7 +2,7 @@
 //!
 //! Times the kernels everything else is built on (MOSFET evaluation, the
 //! MNA/LU solve, DC/AC analysis of the OTA test bench, batch evaluation,
-//! one shard round-trip through each data plane) plus the full reduced
+//! one shard round-trip through the TCP coordinator) plus the full reduced
 //! flow, and writes a schema-versioned JSON report:
 //!
 //! ```text
@@ -33,18 +33,17 @@ use ayb_circuit::ota::{build_open_loop_testbench, OtaParameters, OtaTestbenchCon
 use ayb_circuit::{Mosfet, MosfetModelCard, NodeId};
 use ayb_core::{FlowBuilder, FlowConfig, OtaSizingProblem};
 use ayb_moo::{CachedProblem, ShardTransport, SizingProblem};
-use ayb_net::{Coordinator, CoordinatorConfig, TcpTransport};
+use ayb_net::{
+    Coordinator, CoordinatorConfig, ShardOutcome, ShardWork, ShardWorkKind, TcpTransport,
+};
 use ayb_sim::linalg::{backend_of, solve_in_place, CsrMatrix, DenseMatrix, PatternBuilder};
 use ayb_sim::{
     ac_analysis, ac_analysis_with, dc_operating_point, mosfet, DcOptions, FrequencySweep,
     MnaLayout, SolverKind,
 };
-use ayb_store::{
-    ShardDataPlane, ShardOutcome, ShardWork, ShardWorkKind, VariationOutcome, VariationPointWork,
-};
 use std::hint::black_box;
 use std::process::ExitCode;
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Instant, SystemTime};
 
 /// Default regression tolerance for `--check`: a kernel may be up to 30%
 /// slower than the baseline before the check fails (CI machines are noisy;
@@ -276,71 +275,8 @@ fn bench_batch_evaluate_revisit_cached(iters: u64) -> KernelReport {
 }
 
 /// One complete shard conversation — open epoch, publish, claim, submit,
-/// fetch, close — through the store's on-disk plane.
-fn bench_shard_roundtrip_disk(iters: u64) -> KernelReport {
-    let dir = std::env::temp_dir().join(format!("ayb-bench-shards-{}", std::process::id()));
-    let plane = ShardDataPlane::open(&dir, Duration::from_secs(60));
-    let work = ShardWork::Eval {
-        parameters: gene_batch(4, 8),
-    };
-    let outcome = ShardOutcome::Eval {
-        results: vec![None, None, None, None],
-    };
-    let report = time_kernel("shard_roundtrip_disk", iters, 2, || {
-        let epoch = plane
-            .open_typed_epoch(ShardWorkKind::Eval)
-            .expect("epoch opens");
-        plane.publish_work(&epoch, 0, &work).expect("publishes");
-        assert!(plane.try_claim(&epoch, 0).expect("claim attempt"));
-        plane.submit_outcome(&epoch, 0, &outcome).expect("submits");
-        assert!(plane.fetch_outcome(&epoch, 0).expect("fetches").is_some());
-        plane.close_epoch(&epoch).expect("closes");
-    });
-    let _ = std::fs::remove_dir_all(&dir);
-    report
-}
-
-/// The shard conversation for a *batched* variation task: one epoch slot
-/// carrying 8 Monte Carlo points (with their per-point seeds) out and 8
-/// outcomes back — what `variation_batch 8` pays per task instead of 8
-/// separate round-trips.
-fn bench_variation_batch_roundtrip_disk(iters: u64) -> KernelReport {
-    let dir = std::env::temp_dir().join(format!("ayb-bench-varbatch-{}", std::process::id()));
-    let plane = ShardDataPlane::open(&dir, Duration::from_secs(60));
-    let work = ShardWork::VariationBatch {
-        points: gene_batch(8, 8)
-            .into_iter()
-            .enumerate()
-            .map(|(i, parameters)| VariationPointWork {
-                parameters,
-                mc_seed: 0x9E3779B97F4A7C15u64.wrapping_mul(i as u64 + 1),
-            })
-            .collect(),
-    };
-    let outcome = ShardOutcome::VariationBatch {
-        points: (0..8)
-            .map(|_| VariationOutcome {
-                data: None,
-                elapsed_seconds: 0.0,
-            })
-            .collect(),
-    };
-    let report = time_kernel("variation_batch_roundtrip_disk", iters, 2, || {
-        let epoch = plane
-            .open_typed_epoch(ShardWorkKind::Variation)
-            .expect("epoch opens");
-        plane.publish_work(&epoch, 0, &work).expect("publishes");
-        assert!(plane.try_claim(&epoch, 0).expect("claim attempt"));
-        plane.submit_outcome(&epoch, 0, &outcome).expect("submits");
-        assert!(plane.fetch_outcome(&epoch, 0).expect("fetches").is_some());
-        plane.close_epoch(&epoch).expect("closes");
-    });
-    let _ = std::fs::remove_dir_all(&dir);
-    report
-}
-
-/// The same conversation through a live TCP coordinator (loopback), fencing
-/// token and all — what a `--transport` flow pays per shard.
+/// fetch, close — through a live TCP coordinator (loopback), fencing token
+/// and all: what a sharded flow pays per shard.
 fn bench_shard_roundtrip_tcp(iters: u64) -> KernelReport {
     let coordinator = Coordinator::bind("127.0.0.1:0", CoordinatorConfig::default())
         .expect("coordinator binds on loopback");
@@ -404,8 +340,6 @@ fn run_all(quick: bool) -> BenchReport {
             bench_batch_evaluate(macro_),
             bench_batch_evaluate_revisit(macro_),
             bench_batch_evaluate_revisit_cached(macro_),
-            bench_shard_roundtrip_disk(macro_),
-            bench_variation_batch_roundtrip_disk(macro_),
             bench_shard_roundtrip_tcp(macro_),
             bench_full_flow_reduced(flow),
         ],

@@ -35,28 +35,28 @@ pub struct FlowConfig {
     /// stage. Thread count never changes results, only wall-clock time.
     pub threads: usize,
     /// When `true` *and* the flow runs against a store, the flow's heavy
-    /// stages go through the store's shard data plane: optimiser populations
-    /// split into [`FlowConfig::shard_size`]-candidate evaluation shards,
-    /// and the Monte Carlo variation stage (stage 4) publishes one task per
-    /// analysed Pareto point — either of which any `ayb serve` worker
-    /// process sharing the store, on this machine or another host, may claim
-    /// and service. Sharding never changes results (shards reassemble in
-    /// index order; variation points carry per-point derived seeds), only
-    /// where the work is computed; without a store the flag falls back to
-    /// local execution.
+    /// stages go through a shard coordinator (the `ayb_net` crate):
+    /// optimiser populations split into [`FlowConfig::shard_size`]-candidate
+    /// evaluation shards, and the Monte Carlo variation stage (stage 4)
+    /// publishes its Pareto points in [`FlowConfig::variation_batch`]-point
+    /// tasks — either of which any worker servicing the coordinator, on this
+    /// machine or another host, may claim. Sharding never changes results
+    /// (shards reassemble in index order; variation points carry per-point
+    /// derived seeds), only where the work is computed; without a store, or
+    /// without a reachable coordinator, the flow evaluates in-process.
     pub sharded: bool,
     /// Maximum number of candidates per shard when [`FlowConfig::sharded`]
     /// is set (minimum 1; batches at most one shard long are evaluated
     /// locally).
     pub shard_size: usize,
-    /// Where a sharded flow's data plane lives. `None` (the default) keeps
-    /// shard epochs on the run store's filesystem, serviced by workers that
-    /// mount the same store. `Some("tcp://host:port")` routes them through
-    /// an `ayb coordinate` coordinator instead, so workers need network
-    /// reachability but **no shared filesystem**. The transport never
-    /// changes results — only where shard payloads travel; an unreachable
-    /// coordinator degrades (noisily, via
-    /// [`FlowObserver::on_transport_degraded`](crate::FlowObserver)) to
+    /// The coordinator a sharded flow's shards travel through. `None` (the
+    /// default) uses the coordinator the run's executor supplies — the one
+    /// an `ayb serve` hosts for the runs it executes, or the one advertised
+    /// in the store. `Some("tcp://host:port")` names an `ayb coordinate`
+    /// process explicitly. Workers need network reachability but **no
+    /// shared filesystem**. The transport never changes results — only where
+    /// shard payloads travel; an unreachable coordinator degrades (noisily,
+    /// via [`FlowObserver::on_transport_degraded`](crate::FlowObserver)) to
     /// local evaluation.
     pub transport: Option<String>,
     /// Linear-solver backend used by every DC operating point and AC sweep
@@ -67,8 +67,7 @@ pub struct FlowConfig {
     /// (≪ 1e-9); each backend is individually bit-deterministic.
     pub solver: SolverKind,
     /// Number of Monte Carlo variation points carried per shard task when
-    /// the sharded variation stage runs (minimum 1 = one point per task,
-    /// the historical shape). Larger batches amortise task claim/commit
+    /// the sharded variation stage runs (minimum 1 = one point per task). Larger batches amortise task claim/commit
     /// overhead; per-point checkpoints are preserved, so batching never
     /// changes results or resumability.
     pub variation_batch: usize,

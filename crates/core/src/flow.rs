@@ -47,13 +47,12 @@ use ayb_moo::{
     Evaluation, OptimizationResult, OptimizerConfig, ShardError, ShardTransport, ShardedEvaluator,
     ShardingOptions, SizingProblem, WithEvaluator,
 };
-use ayb_net::TcpTransport;
+use ayb_net::{
+    ShardOutcome, ShardWork, ShardWorkKind, TcpTransport, VariationOutcome, VariationPointWork,
+};
 use ayb_obs::{kind as event_kind, Event, JsonlSink, Recorder, Severity, SinkGuard};
 use ayb_process::{montecarlo, Summary};
-use ayb_store::{
-    ClaimHeartbeat, ClaimInfo, Manifest, RunHandle, RunStatus, ShardDataPlane, ShardOutcome,
-    ShardWork, ShardWorkKind, Store, StoreError, VariationOutcome, VariationPointWork,
-};
+use ayb_store::{ClaimHeartbeat, ClaimInfo, Manifest, RunHandle, RunStatus, Store, StoreError};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -124,8 +123,8 @@ pub struct FlowTimings {
     /// process analysed each point — so serial and sharded runs report
     /// comparable work even though their submitter wall clocks differ.
     pub mc_point_seconds: f64,
-    /// Shard requests this flow sent over a TCP data plane (0 for disk
-    /// planes and unsharded flows).
+    /// Shard requests this flow sent to its coordinator (0 for unsharded
+    /// flows).
     pub shard_requests: u64,
     /// Summed round-trip seconds of those shard requests.
     pub shard_request_seconds: f64,
@@ -405,7 +404,7 @@ pub fn analyse_pareto_point(
 
 /// One analysed Pareto point as persisted per-point in
 /// `checkpoints/variation_NNNN.json` (durable runs) and carried over the
-/// shard plane (sharded runs).
+/// shard wire (sharded runs).
 ///
 /// `data: None` records that the point was analysed but produced no usable
 /// variation data — a deterministic outcome that must be remembered, or a
@@ -420,8 +419,7 @@ pub struct VariationPointRecord {
 }
 
 impl VariationPointRecord {
-    /// Converts to the store's opaque wire form (see
-    /// [`ayb_store::VariationOutcome`]).
+    /// Converts to the opaque wire form (see [`ayb_net::VariationOutcome`]).
     fn to_outcome(&self) -> VariationOutcome {
         VariationOutcome {
             data: self.data.as_ref().map(Serialize::to_value),
@@ -429,7 +427,7 @@ impl VariationPointRecord {
         }
     }
 
-    /// Parses the store's wire form back; `None` when the payload is
+    /// Parses the wire form back; `None` when the payload is
     /// malformed (the shard then simply stays pending and is re-analysed).
     fn from_outcome(outcome: &VariationOutcome) -> Option<VariationPointRecord> {
         let data = match &outcome.data {
@@ -499,11 +497,12 @@ pub trait FlowObserver {
     }
 
     /// Called when the shard data plane failed repeatedly for one shard and
-    /// the flow produced it locally instead. `detail` is the transport error
-    /// that tipped the shard into degradation — the flow never degrades
-    /// silently. Results are unaffected (local production is bit-identical);
-    /// this is purely diagnostic, surfaced by `ayb status` via the run's
-    /// transport report.
+    /// the flow produced it locally instead — or, once, with shard 0, when a
+    /// sharded flow found no coordinator at all and evaluates in-process.
+    /// `detail` is the transport error that tipped the shard into
+    /// degradation — the flow never degrades silently. Results are
+    /// unaffected (local production is bit-identical); this is purely
+    /// diagnostic, surfaced by `ayb status` via the run's transport report.
     fn on_transport_degraded(&mut self, stage: FlowStage, shard: usize, detail: &str) {
         let _ = (stage, shard, detail);
     }
@@ -614,6 +613,7 @@ pub struct FlowBuilder {
     variation_halt: Option<VariationHaltHook>,
     claim_owner: Option<String>,
     recorder: Option<Recorder>,
+    coordinator: Option<String>,
 }
 
 impl FlowBuilder {
@@ -633,6 +633,7 @@ impl FlowBuilder {
             variation_halt: None,
             claim_owner: None,
             recorder: None,
+            coordinator: None,
         }
     }
 
@@ -663,6 +664,7 @@ impl FlowBuilder {
             variation_halt: None,
             claim_owner: None,
             recorder: None,
+            coordinator: None,
         })
     }
 
@@ -788,13 +790,14 @@ impl FlowBuilder {
     }
 
     /// Enables (or disables) sharded batch evaluation
-    /// ([`FlowConfig::sharded`]): optimiser populations are split into
-    /// shards published under the durable run's directory, where any
-    /// `ayb serve` worker sharing the store — including on other machines —
-    /// can claim and evaluate them. The submitting flow participates too,
-    /// so a sharded run completes even with no workers, and results are
-    /// bit-identical to unsharded execution either way. Requires an attached
-    /// store to have any effect.
+    /// ([`FlowConfig::sharded`]): optimiser populations and variation points
+    /// are split into shards published to a shard coordinator, where any
+    /// worker servicing it — including on other machines — can claim and
+    /// evaluate them. The submitting flow participates too, so a sharded run
+    /// completes even with no workers, and results are bit-identical to
+    /// unsharded execution either way. Requires an attached store to have
+    /// any effect (see [`FlowBuilder::with_coordinator`] for how the
+    /// coordinator is found).
     #[must_use]
     pub fn sharded(mut self, sharded: bool) -> Self {
         self.config.sharded = sharded;
@@ -809,6 +812,21 @@ impl FlowBuilder {
         self
     }
 
+    /// Routes this execution's shards through the coordinator at `url`
+    /// (`tcp://host:port`) without recording it in the run's manifest — how
+    /// a job server hands the runs it executes to the coordinator it hosts.
+    ///
+    /// A sharded durable flow picks its coordinator in this order:
+    /// [`FlowConfig::transport`] when set, then this URL, then the
+    /// coordinator advertised in the store (used only if it answers a stats
+    /// request). With none of them it evaluates in-process — the digest is
+    /// unchanged — and reports that once as a transport degradation.
+    #[must_use]
+    pub fn with_coordinator(mut self, url: impl Into<String>) -> Self {
+        self.coordinator = Some(url.into());
+        self
+    }
+
     /// The configuration this builder will run with.
     pub fn config(&self) -> &FlowConfig {
         &self.config
@@ -817,6 +835,34 @@ impl FlowBuilder {
     /// The optimiser selection this builder will run with.
     pub fn optimizer(&self) -> &OptimizerConfig {
         &self.optimizer
+    }
+
+    /// A client for the coordinator a sharded durable flow distributes
+    /// through (see [`FlowBuilder::with_coordinator`] for the order), or why
+    /// there is none — the reason becomes the flow's one degradation notice.
+    fn shard_coordinator(&mut self) -> Result<TcpTransport, String> {
+        // The CLI validates `--transport` up front; a malformed URL here
+        // comes from a config edited by hand.
+        let in_process = |reason: String| format!("{reason}; evaluating in-process");
+        if let Some(url) = &self.config.transport {
+            return TcpTransport::from_url(url).map_err(in_process);
+        }
+        if let Some(url) = self.coordinator.take() {
+            return TcpTransport::from_url(&url).map_err(in_process);
+        }
+        let advertised = self
+            .store
+            .as_ref()
+            .and_then(Store::advertised_coordinator)
+            .ok_or_else(|| in_process("no shard coordinator is advertised in the store".into()))?;
+        // A fresh client for the probe, so the flow's own counters only
+        // count its shard traffic.
+        match TcpTransport::from_url(&advertised).map(|probe| probe.coordinator_stats()) {
+            Ok(Ok(_)) => TcpTransport::from_url(&advertised).map_err(in_process),
+            _ => Err(in_process(format!(
+                "the advertised shard coordinator {advertised} does not answer"
+            ))),
+        }
     }
 
     /// Stage 1–3: builds the sizing problem, runs the selected optimiser and
@@ -906,57 +952,61 @@ impl FlowBuilder {
                 .detail(FlowStage::Optimize.name()),
         );
 
+        // Shard degradations are buffered (inside the optimiser's batch
+        // evaluations the evaluator is shared behind `&self` while the
+        // checkpoint sink holds the observers) and drained into the
+        // observers, the recorder and the incident record at every exit from
+        // this stage.
+        let degraded_events: Arc<Mutex<Vec<(usize, String)>>> = Arc::default();
+        let mut transport_incidents: Vec<TransportIncident> = Vec::new();
+
         // With sharding enabled (and a durable run to host the data plane),
-        // batch evaluation goes through the shard data plane — on disk, or
-        // over TCP when the config selects a coordinator. The plane is built
-        // once and carried through all stages, so its traffic and fencing
-        // counters cover the whole flow.
+        // batch evaluation goes through a shard coordinator over TCP. The
+        // transport is built once and carried through all stages, so its
+        // traffic and fencing counters cover the whole flow.
         let shard_plane = match &run {
             Some(handle) if self.config.sharded => {
-                // This flow holds the run's exclusive claim, so any shard
-                // epochs still on disk belong to a dead predecessor.
-                let _ = handle.sweep_shards();
-                Some(match self.config.transport.as_deref() {
-                    Some(url) => match TcpTransport::from_url(url) {
-                        Ok(transport) => {
-                            let context = serde::Serialize::to_value(&self.config);
-                            FlowShardPlane::Tcp(
-                                transport
-                                    .with_run_context(handle.id(), context)
-                                    .with_recorder(recorder.clone()),
-                            )
-                        }
-                        Err(reason) => {
-                            // A malformed selector degrades to the disk
-                            // plane — noisily, so a typo'd URL never passes
-                            // for a working coordinator (the CLI validates
-                            // up front; this guards configs edited by hand).
-                            let detail = format!("{reason}; using the disk data plane");
-                            for observer in &mut self.observers {
-                                observer.on_transport_degraded(FlowStage::Optimize, 0, &detail);
-                            }
-                            FlowShardPlane::Disk(
-                                handle
-                                    .shard_plane(SHARD_CLAIM_STALE_AFTER)
-                                    .with_recorder(recorder.clone()),
-                            )
-                        }
-                    },
-                    None => FlowShardPlane::Disk(
-                        handle
-                            .shard_plane(SHARD_CLAIM_STALE_AFTER)
-                            .with_recorder(recorder.clone()),
-                    ),
-                })
+                // The coordinator names runs by store identity and run id.
+                let coordinator = self.shard_coordinator().and_then(|transport| {
+                    let store = self.store.as_ref().expect("a durable run lives in a store");
+                    let identity = store.identity().map_err(|error| {
+                        format!("cannot read the store identity ({error}); evaluating in-process")
+                    })?;
+                    Ok((transport, identity))
+                });
+                match coordinator {
+                    Ok((transport, store)) => {
+                        let fence = run_claim.as_ref().map_or(0, |claim| claim.fence);
+                        let context = serde::Serialize::to_value(&self.config);
+                        let transport = transport
+                            .with_run_context(&store, handle.id(), fence, context)
+                            .with_recorder(recorder.clone());
+                        // This flow holds the run's claim, so any epoch the
+                        // coordinator still holds for the run belongs to a
+                        // dead predecessor: drop it before workers service
+                        // it. Best effort — an unreachable coordinator
+                        // degrades shard by shard below.
+                        let _ = transport.close_run_epochs();
+                        Some(transport)
+                    }
+                    Err(detail) => {
+                        degraded_events
+                            .lock()
+                            .expect("degradation event lock")
+                            .push((0, detail));
+                        None
+                    }
+                }
             }
             _ => None,
         };
-
-        // Degradations inside the optimiser's batch evaluations are buffered
-        // (the evaluator is shared behind `&self` while the checkpoint sink
-        // holds the observers) and drained into the observers at every exit
-        // from this stage.
-        let degraded_events: Arc<Mutex<Vec<(usize, String)>>> = Arc::default();
+        drain_degraded(
+            &mut self.observers,
+            &recorder,
+            run.as_ref(),
+            &degraded_events,
+            &mut transport_incidents,
+        );
         // Optional cross-generation evaluation cache under the optimiser:
         // repeated candidates skip the solve. A hit is served only for
         // bit-identical raw parameters, so enabling the cache never changes
@@ -977,7 +1027,7 @@ impl FlowBuilder {
             WithEvaluator::new(
                 base,
                 ShardedEvaluator::new(
-                    plane.boxed_transport(),
+                    Box::new(plane.clone()),
                     ShardingOptions::with_shard_size(self.config.shard_size),
                 )
                 .with_degraded_hook(Arc::new(move |shard, error| {
@@ -994,7 +1044,6 @@ impl FlowBuilder {
         };
 
         let t0 = Instant::now();
-        let mut transport_incidents: Vec<TransportIncident> = Vec::new();
         let optimizer = self.optimizer.build();
         let optimization = match &run {
             None => optimizer.run(sizing),
@@ -1041,6 +1090,8 @@ impl FlowBuilder {
                 let outcome = optimizer.run_checkpointed(sizing, resume_checkpoint, &mut sink);
                 drain_degraded(
                     &mut self.observers,
+                    &recorder,
+                    Some(handle),
                     &degraded_events,
                     &mut transport_incidents,
                 );
@@ -1075,6 +1126,8 @@ impl FlowBuilder {
         drop(eval_cache); // ends the cache's borrow of `problem`
         drain_degraded(
             &mut self.observers,
+            &recorder,
+            run.as_ref(),
             &degraded_events,
             &mut transport_incidents,
         );
@@ -1139,7 +1192,7 @@ pub struct OptimizedFlow {
     selected: Vec<Evaluation>,
     run: Option<RunHandle>,
     run_claim: Option<ClaimInfo>,
-    shard_plane: Option<FlowShardPlane>,
+    shard_plane: Option<TcpTransport>,
     transport_incidents: Vec<TransportIncident>,
     claim_heartbeat: Option<ClaimHeartbeat>,
     halt_signal: Option<Arc<AtomicBool>>,
@@ -1192,9 +1245,9 @@ impl OptimizedFlow {
     /// `checkpoints/variation_NNNN.json` the moment it lands — the stage
     /// checkpoints, and a flow killed mid-stage resumes here without
     /// re-analysing completed points. With [`FlowConfig::sharded`] the stage
-    /// additionally distributes pending points through the run's shard data
-    /// plane (one variation task per point), where any `ayb serve` worker
-    /// sharing the store helps out; the submitter participates exactly like
+    /// additionally distributes pending points through the flow's shard
+    /// coordinator (in [`FlowConfig::variation_batch`]-point tasks), where
+    /// any worker servicing it helps out; the submitter participates exactly like
     /// sharded population evaluation, so the stage completes with zero
     /// workers and the result is bit-identical to the serial path either
     /// way.
@@ -1244,7 +1297,7 @@ impl OptimizedFlow {
         let pending: Vec<usize> = (0..total).filter(|&index| slots[index].is_none()).collect();
         let outcome = if pending.is_empty() {
             VariationStageOutcome::Done
-        } else if self.config.sharded && self.run.is_some() && pending.len() > 1 {
+        } else if self.shard_plane.is_some() && pending.len() > 1 {
             self.variation_sharded(&pending, &mut slots)
         } else {
             self.variation_serial(&pending, &mut slots)
@@ -1483,28 +1536,19 @@ impl OptimizedFlow {
         };
         let base_seed = self.config.monte_carlo.seed;
         for (shard, batch) in batches.iter().enumerate() {
-            let point_work = |&index: &usize| VariationPointWork {
-                parameters: self.selected[index].parameters.clone(),
-                mc_seed: point_mc_seed(base_seed, index),
-            };
-            // A single-point batch keeps the historical task shape, so
-            // pre-batching workers stay compatible.
-            let work = match batch.as_slice() {
-                [index] => {
-                    let point = point_work(index);
-                    ShardWork::Variation {
-                        parameters: point.parameters,
-                        mc_seed: point.mc_seed,
-                    }
-                }
-                _ => ShardWork::VariationBatch {
-                    points: batch.iter().map(point_work).collect(),
-                },
+            let work = ShardWork::VariationBatch {
+                points: batch
+                    .iter()
+                    .map(|&index| VariationPointWork {
+                        parameters: self.selected[index].parameters.clone(),
+                        mc_seed: point_mc_seed(base_seed, index),
+                    })
+                    .collect(),
             };
             if plane.publish_work(&epoch, shard, &work).is_err() {
                 // A half-published epoch is unusable; dispose of it and fall
                 // back to the serial path.
-                let _ = plane.close_epoch(&epoch);
+                let _ = ShardTransport::close_epoch(&plane, &epoch);
                 return self.variation_serial(pending, slots);
             }
         }
@@ -1525,16 +1569,16 @@ impl OptimizedFlow {
             Some(_) => {
                 if self.variation_should_halt(VariationBoundary::EpochClose) {
                     // Halt *before* disposal, like a crash at this boundary:
-                    // the leftover epoch is swept when the run resumes.
+                    // the resumed flow closes the leftover epoch.
                     return VariationStageOutcome::Halted {
                         analysed: recorded_points(slots),
                     };
                 }
-                let _ = plane.close_epoch(&epoch);
+                let _ = ShardTransport::close_epoch(&plane, &epoch);
                 VariationStageOutcome::Done
             }
-            // Aborted mid-epoch: leave the epoch on disk (exactly what a
-            // crash leaves behind); the resumed flow sweeps it.
+            // Aborted mid-epoch: leave the epoch open (exactly what a crash
+            // leaves behind); the resumed flow closes it.
             None => match abort {
                 Some(VariationAbort::Failed(error)) => VariationStageOutcome::Failed(error),
                 _ => VariationStageOutcome::Halted {
@@ -1554,14 +1598,14 @@ enum VariationAbort {
 }
 
 /// [`EpochWork`] binding of the variation stage: one shard = one batch of
-/// pending Pareto points, transported as [`ShardWork::Variation`] /
-/// [`ShardWork::VariationBatch`] over the run's [`ShardDataPlane`]. Landing
+/// pending Pareto points, transported as [`ShardWork::VariationBatch`]
+/// through the flow's coordinator. Landing
 /// a batch writes each point's variation checkpoint in batch order and ticks
 /// the flow's observers — identical bookkeeping to the serial path, with a
 /// halt boundary between every point.
 struct VariationEpochWork<'a> {
     flow: &'a mut OptimizedFlow,
-    plane: &'a FlowShardPlane,
+    plane: &'a TcpTransport,
     epoch: &'a str,
     /// Pending point indices, chunked as published (`batches[shard]`).
     batches: &'a [Vec<usize>],
@@ -1575,7 +1619,6 @@ impl EpochWork for VariationEpochWork<'_> {
     fn fetch(&mut self, shard: usize) -> Result<Option<Vec<VariationPointRecord>>, ShardError> {
         let outcome = self.plane.fetch_outcome(self.epoch, shard)?;
         let points = match outcome {
-            Some(ShardOutcome::Variation(outcome)) => vec![outcome],
             Some(ShardOutcome::VariationBatch { points }) => points,
             Some(ShardOutcome::Eval { .. }) | None => return Ok(None),
         };
@@ -1593,7 +1636,7 @@ impl EpochWork for VariationEpochWork<'_> {
     }
 
     fn try_claim(&mut self, shard: usize) -> Result<bool, ShardError> {
-        self.plane.try_claim(self.epoch, shard)
+        ShardTransport::try_claim(self.plane, self.epoch, shard)
     }
 
     fn evaluate(&mut self, shard: usize) -> Vec<VariationPointRecord> {
@@ -1608,19 +1651,17 @@ impl EpochWork for VariationEpochWork<'_> {
         shard: usize,
         records: &Vec<VariationPointRecord>,
     ) -> Result<(), ShardError> {
-        let outcome = match records.as_slice() {
-            [record] if self.batches[shard].len() == 1 => {
-                ShardOutcome::Variation(record.to_outcome())
-            }
-            _ => ShardOutcome::VariationBatch {
-                points: records.iter().map(|r| r.to_outcome()).collect(),
-            },
+        let outcome = ShardOutcome::VariationBatch {
+            points: records
+                .iter()
+                .map(VariationPointRecord::to_outcome)
+                .collect(),
         };
         self.plane.submit_outcome(self.epoch, shard, &outcome)
     }
 
     fn recover(&mut self, shard: usize) -> Result<bool, ShardError> {
-        self.plane.recover(self.epoch, shard)
+        ShardTransport::recover(self.plane, self.epoch, shard)
     }
 
     fn on_claimed(&mut self, shard: usize) -> bool {
@@ -1677,7 +1718,7 @@ pub struct AnalyzedFlow {
     pareto_data: Vec<ParetoPointData>,
     run: Option<RunHandle>,
     run_claim: Option<ClaimInfo>,
-    shard_plane: Option<FlowShardPlane>,
+    shard_plane: Option<TcpTransport>,
     transport_incidents: Vec<TransportIncident>,
     claim_heartbeat: Option<ClaimHeartbeat>,
     recorder: Recorder,
@@ -1744,12 +1785,14 @@ impl AnalyzedFlow {
         // Shard-plane accounting, accumulated over every stage. Timings are
         // excluded from determinism digests, so recording traffic here can
         // never perturb a result.
-        if let Some(plane) = &self.shard_plane {
-            let (requests, seconds) = plane.traffic();
-            self.timings.shard_requests = requests;
-            self.timings.shard_request_seconds = seconds;
-            self.timings.shards_fenced = plane.fenced_rejections();
-        }
+        let traffic = self
+            .shard_plane
+            .as_ref()
+            .map(TcpTransport::stats)
+            .unwrap_or_default();
+        self.timings.shard_requests = traffic.requests;
+        self.timings.shard_request_seconds = traffic.request_seconds;
+        self.timings.shards_fenced = traffic.fenced_rejections;
         self.timings.shards_degraded = self.transport_incidents.len();
         let result = FlowResult {
             archive: self.optimization.archive.clone(),
@@ -1761,24 +1804,22 @@ impl AnalyzedFlow {
         };
         drop(self.claim_heartbeat.take());
         if let Some(handle) = &self.run {
-            // Every epoch was assembled (or abandoned) by now; anything left
-            // under `shards/` is debris from an epoch disposal that lost the
-            // race against a worker's in-flight claim. Re-verify the claim
-            // first: if a recovery pass stole it (this flow was presumed
-            // hung), a successor owns these files now and this writer must
-            // not touch them — not even to sweep.
+            // Re-verify the claim first: if a recovery pass stole it (this
+            // flow was presumed hung), a successor owns the run's files now
+            // and this writer must not touch them.
             let persisted = guard_claim(handle, self.run_claim.as_ref()).and_then(|()| {
-                let _ = handle.sweep_shards();
-                if let Some(plane) = &self.shard_plane {
-                    let (requests, request_seconds) = plane.traffic();
+                if self.config.sharded {
                     // Diagnostic only — failure to write the report must not
                     // fail a completed flow.
                     let _ = handle.save_transport_report(&TransportReport {
-                        transport: plane.describe(),
+                        transport: self
+                            .shard_plane
+                            .as_ref()
+                            .map_or_else(|| "in-process".to_string(), TcpTransport::url),
                         incidents: self.transport_incidents.clone(),
-                        requests,
-                        request_seconds,
-                        fenced_rejections: plane.fenced_rejections(),
+                        requests: traffic.requests,
+                        request_seconds: traffic.request_seconds,
+                        fenced_rejections: traffic.fenced_rejections,
                     });
                 }
                 handle.save_result(&result)?;
@@ -1807,127 +1848,6 @@ impl AnalyzedFlow {
 /// so one touch per second gives ample margin.
 const CLAIM_HEARTBEAT_INTERVAL: Duration = Duration::from_secs(1);
 
-/// How long a *shard* claim may go without a heartbeat before the submitter
-/// presumes its holder dead and re-evaluates the shard. Duplicate shard
-/// evaluation is benign (pure evaluations, atomic result writes), so this is
-/// deliberately more aggressive than run-claim recovery; workers heartbeat
-/// their shard claims every second while evaluating.
-const SHARD_CLAIM_STALE_AFTER: Duration = Duration::from_secs(60);
-
-/// The shard data plane a sharded flow drives its epochs through, selected
-/// by [`FlowConfig::transport`]: the store's on-disk plane (workers share
-/// the filesystem) or a TCP coordinator (workers share nothing but the
-/// network). Both speak the same typed epoch vocabulary, so the eval and
-/// variation stages are transport-agnostic — and bit-identical, since shard
-/// payloads and reassembly order never depend on how they travelled.
-///
-/// Clones share counters (and, for TCP, the token table), so the stats read
-/// at flow completion cover every stage.
-#[derive(Clone)]
-enum FlowShardPlane {
-    /// Epochs as files under the run directory (`ShardDataPlane`).
-    Disk(ShardDataPlane),
-    /// Epochs in an `ayb coordinate` server's memory, over TCP.
-    Tcp(TcpTransport),
-}
-
-impl FlowShardPlane {
-    /// A boxed [`ShardTransport`] view for [`ShardedEvaluator`].
-    fn boxed_transport(&self) -> Box<dyn ShardTransport> {
-        match self {
-            FlowShardPlane::Disk(plane) => Box::new(plane.clone()),
-            FlowShardPlane::Tcp(transport) => Box::new(transport.clone()),
-        }
-    }
-
-    /// Where this plane lives, for diagnostics ("disk" or the `tcp://` URL).
-    fn describe(&self) -> String {
-        match self {
-            FlowShardPlane::Disk(_) => "disk".to_string(),
-            FlowShardPlane::Tcp(transport) => transport.url(),
-        }
-    }
-
-    fn open_typed_epoch(
-        &self,
-        kind: ShardWorkKind,
-        shard_count: usize,
-    ) -> Result<String, ShardError> {
-        match self {
-            FlowShardPlane::Disk(plane) => plane.open_typed_epoch(kind),
-            FlowShardPlane::Tcp(transport) => transport.open_typed_epoch(kind, shard_count),
-        }
-    }
-
-    fn publish_work(&self, epoch: &str, shard: usize, work: &ShardWork) -> Result<(), ShardError> {
-        match self {
-            FlowShardPlane::Disk(plane) => plane.publish_work(epoch, shard, work),
-            FlowShardPlane::Tcp(transport) => transport.publish_work(epoch, shard, work),
-        }
-    }
-
-    fn try_claim(&self, epoch: &str, shard: usize) -> Result<bool, ShardError> {
-        match self {
-            FlowShardPlane::Disk(plane) => plane.try_claim(epoch, shard),
-            FlowShardPlane::Tcp(transport) => transport.try_claim(epoch, shard),
-        }
-    }
-
-    fn submit_outcome(
-        &self,
-        epoch: &str,
-        shard: usize,
-        outcome: &ShardOutcome,
-    ) -> Result<(), ShardError> {
-        match self {
-            FlowShardPlane::Disk(plane) => plane.submit_outcome(epoch, shard, outcome),
-            FlowShardPlane::Tcp(transport) => transport.submit_outcome(epoch, shard, outcome),
-        }
-    }
-
-    fn fetch_outcome(&self, epoch: &str, shard: usize) -> Result<Option<ShardOutcome>, ShardError> {
-        match self {
-            FlowShardPlane::Disk(plane) => plane.fetch_outcome(epoch, shard),
-            FlowShardPlane::Tcp(transport) => transport.fetch_outcome(epoch, shard),
-        }
-    }
-
-    fn recover(&self, epoch: &str, shard: usize) -> Result<bool, ShardError> {
-        match self {
-            FlowShardPlane::Disk(plane) => ShardTransport::recover(plane, epoch, shard),
-            FlowShardPlane::Tcp(transport) => ShardTransport::recover(transport, epoch, shard),
-        }
-    }
-
-    fn close_epoch(&self, epoch: &str) -> Result<(), ShardError> {
-        match self {
-            FlowShardPlane::Disk(plane) => ShardTransport::close_epoch(plane, epoch),
-            FlowShardPlane::Tcp(transport) => ShardTransport::close_epoch(transport, epoch),
-        }
-    }
-
-    /// Results this plane's writers had fenced off (stolen claims whose late
-    /// submissions were discarded), accumulated across all stages.
-    fn fenced_rejections(&self) -> u64 {
-        match self {
-            FlowShardPlane::Disk(plane) => plane.fenced_rejections(),
-            FlowShardPlane::Tcp(transport) => transport.stats().fenced_rejections,
-        }
-    }
-
-    /// `(requests, summed round-trip seconds)` of shard traffic. The disk
-    /// plane reports zero — per-file I/O is not request-shaped.
-    fn traffic(&self) -> (u64, f64) {
-        match self {
-            FlowShardPlane::Disk(_) => (0, 0.0),
-            FlowShardPlane::Tcp(transport) => {
-                let stats = transport.stats();
-                (stats.requests, stats.request_seconds)
-            }
-        }
-    }
-}
-
 /// One shard's degradation to local evaluation: the record behind
 /// [`FlowObserver::on_transport_degraded`], persisted in the run's
 /// [`TransportReport`].
@@ -1947,13 +1867,14 @@ pub struct TransportIncident {
 /// observational: results and digests never depend on it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TransportReport {
-    /// Where the data plane lived ("disk" or a `tcp://host:port` URL).
+    /// The coordinator the shards travelled through (a `tcp://host:port`
+    /// URL), or `in-process` when none could be used.
     pub transport: String,
     /// Every shard that degraded to local evaluation, with its cause.
     pub incidents: Vec<TransportIncident>,
-    /// Shard requests sent over the wire (TCP planes; 0 on disk).
+    /// Shard requests sent over the wire.
     pub requests: u64,
-    /// Summed request round-trip seconds (TCP planes; 0 on disk).
+    /// Summed request round-trip seconds.
     pub request_seconds: f64,
     /// Late writes from stolen claims this flow's plane discarded.
     pub fenced_rejections: u64,
@@ -1991,11 +1912,14 @@ fn finish_run(
     }
 }
 
-/// Drains eval-stage degradation events buffered by the sharded evaluator's
-/// hook into the observers and the flow's incident record (see
+/// Drains eval-stage degradations — buffered by the sharded evaluator's
+/// hook, or the one notice of a flow without a coordinator — into the
+/// observers, the recorder and the flow's incident record (see
 /// [`FlowObserver::on_transport_degraded`]).
 fn drain_degraded(
     observers: &mut [Box<dyn FlowObserver>],
+    recorder: &Recorder,
+    run: Option<&RunHandle>,
     events: &Arc<Mutex<Vec<(usize, String)>>>,
     incidents: &mut Vec<TransportIncident>,
 ) {
@@ -2003,6 +1927,11 @@ fn drain_degraded(
         for observer in observers.iter_mut() {
             observer.on_transport_degraded(FlowStage::Optimize, shard, &detail);
         }
+        recorder.emit(
+            flow_event(run, Severity::Warn, event_kind::SHARD_DEGRADED)
+                .shard(shard as u64)
+                .detail(format!("{}: {detail}", FlowStage::Optimize.name())),
+        );
         incidents.push(TransportIncident {
             stage: FlowStage::Optimize.name().to_string(),
             shard,

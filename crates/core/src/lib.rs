@@ -18,10 +18,10 @@
 //!   runs durable — manifest, per-generation checkpoints and result on disk
 //!   — and [`FlowBuilder::resume`] continues an interrupted run from its
 //!   latest checkpoint with a bit-identical [`FlowResult`]; durable runs can
-//!   additionally shard their batch evaluation across any number of worker
-//!   processes and machines sharing the store
-//!   ([`FlowBuilder::sharded`], `ayb serve --shards-only`) — still
-//!   bit-identical,
+//!   additionally shard their batch evaluation and variation analysis across
+//!   any number of worker processes and machines servicing a shard
+//!   coordinator ([`FlowBuilder::sharded`], `ayb serve --shards-only`) —
+//!   still bit-identical,
 //! * [`generate_model`] — thin compatibility wrapper running all stages with
 //!   the paper's WBGA,
 //! * [`AybError`] — the unified error that wraps `FlowError`, `ModelError`,

@@ -33,14 +33,22 @@
 //!   digest identically to the same seeds run sequentially.
 //!
 //! Beyond whole runs (the control plane), workers also service the **shard
-//! data plane**: sharded flows publish each optimiser population — and each
-//! Pareto point of the Monte Carlo variation stage — as claimable, typed
-//! shard tasks (see `ayb_store::shards`), and idle workers service them
-//! *shard-first* — before taking new runs — so every in-flight run keeps
-//! progressing even when all run-executing workers are occupied. A server
-//! started with [`JobServerConfig::shards_only`] (`ayb serve --shards-only`)
-//! is a pure shard worker: extra machines sharing the store run in this mode
-//! to scale one flow's batch evaluation and variation analysis.
+//! data plane**: sharded flows publish each optimiser population — and the
+//! Pareto points of the Monte Carlo variation stage — as claimable, typed
+//! shard tasks on a TCP coordinator (the `ayb_net` crate), and idle workers
+//! service them *shard-first* — before taking new runs — so every in-flight
+//! run keeps progressing even when all run-executing workers are occupied.
+//! Servers without [`JobServerConfig::transport`] share one coordinator per
+//! store: a server joins the one the store advertises
+//! (`Store::advertised_coordinator`) while it answers; otherwise it binds
+//! one in-process on `127.0.0.1:0` and advertises its URL, so peer servers
+//! and a standalone `ayb run --sharded` on the same store find it. Either
+//! way the sharded runs it executes publish there. Servers re-check every
+//! second, so when the hosting server exits, a joined peer takes over. A
+//! server started with
+//! [`JobServerConfig::shards_only`] (`ayb serve --shards-only`) is a pure
+//! shard worker: it scales one flow's batch evaluation and variation
+//! analysis without competing for run claims.
 //!
 //! A drain-mode server over an empty store starts, scans and returns
 //! immediately — the smallest possible end-to-end example:
@@ -91,12 +99,12 @@ pub use sched::{Priority, QueuePolicy, RunQueue, TenantPolicy, WrrQueue};
 
 use ayb_core::{AybError, FlowBuilder, FlowConfig, FlowObserver, OtaSizingProblem};
 use ayb_moo::{CheckpointError, OptimizerConfig, SizingProblem};
-use ayb_net::{ClaimPulse, NetShardTask, TcpTransport};
-use ayb_obs::{Event, Recorder, Severity};
-use ayb_store::{
-    Manifest, RunHandle, RunStatus, ShardOutcome, ShardWork, ShardWorkKind, Store, StoreError,
-    VariationOutcome,
+use ayb_net::{
+    ClaimPulse, Coordinator, CoordinatorConfig, ShardOutcome, ShardWork, ShardWorkKind,
+    TcpTransport, VariationOutcome, WorkerTask,
 };
+use ayb_obs::{Event, Recorder, Severity};
+use ayb_store::{RunHandle, RunStatus, Store, StoreError};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
@@ -113,8 +121,9 @@ pub enum JobError {
     /// A store operation failed.
     Store(StoreError),
     /// The configured coordinator URL ([`JobServerConfig::transport`]) is
-    /// malformed. (An unreachable-but-well-formed coordinator is *not* an
-    /// error: workers simply find no network shards until it comes up.)
+    /// malformed, or the hosted coordinator cannot bind. (An
+    /// unreachable-but-well-formed coordinator is *not* an error: workers
+    /// simply find no shards until it comes up.)
     Transport(String),
 }
 
@@ -166,22 +175,21 @@ pub struct JobServerConfig {
     /// so runs stranded *after* startup — a peer server shut down or died —
     /// are picked up without waiting for a restart.
     pub recovery_interval: Duration,
-    /// When `true` (the default), idle workers service shard evaluation
-    /// tasks of sharded flows — *shard-first*: the data plane is always
-    /// drained before a worker takes new control-plane work, so a fleet
-    /// whose workers all hold runs still makes evaluation progress.
-    pub service_shards: bool,
     /// When `true`, the server never claims whole runs — it is a pure
     /// evaluation worker servicing shard tasks (`ayb serve --shards-only`).
-    /// Extra machines sharing the store run in this mode to scale a sharded
-    /// flow's batch evaluation without competing for run claims.
+    /// Extra processes run in this mode to scale a sharded flow's batch
+    /// evaluation without competing for run claims.
     pub shards_only: bool,
-    /// Coordinator URL (`tcp://host:port`) of a network shard data plane
-    /// (see the `ayb_net` crate). When set, workers also poll the
-    /// coordinator for network shard tasks — *store-free*: each task carries
-    /// its submitter's flow configuration, so a worker machine needs no
-    /// filesystem shared with the submitter (`ayb serve --transport
-    /// tcp://…`). `None` (the default) services the on-disk plane only.
+    /// Coordinator URL (`tcp://host:port`) of an external shard coordinator
+    /// (`ayb coordinate`; see the `ayb_net` crate) whose tasks the workers
+    /// service — *store-free*: each task carries its submitter's flow
+    /// configuration, so a worker machine needs no filesystem shared with
+    /// the submitter (`ayb serve --transport tcp://…`). `None` (the default)
+    /// uses the store's coordinator: the advertised one while it answers,
+    /// else one this server hosts in-process and advertises for as long as
+    /// [`JobServer::run`] runs. Either way, idle workers service
+    /// it *shard-first*, before taking new runs, and the sharded runs the
+    /// server executes publish their shards to it.
     pub transport: Option<String>,
     /// How queued runs are ordered for dispatch: the historical global FIFO
     /// ([`QueuePolicy::Fifo`], the default), or weighted round-robin across
@@ -201,7 +209,6 @@ impl Default for JobServerConfig {
             owner: format!("ayb-serve-{}", std::process::id()),
             reclaim_grace: Duration::from_secs(30),
             recovery_interval: Duration::from_secs(30),
-            service_shards: true,
             shards_only: false,
             transport: None,
             queue_policy: QueuePolicy::Fifo,
@@ -297,8 +304,8 @@ pub enum JobEvent {
         message: String,
     },
     /// A worker serviced one shard of a sharded flow (the data plane; see
-    /// `ayb_store::shards`) — a population-evaluation shard or a variation
-    /// (Monte Carlo) point, per `work`.
+    /// the `ayb_net` crate) — a population-evaluation shard or a batch of
+    /// variation (Monte Carlo) points, per `work`.
     ShardServiced {
         /// The run whose batch the shard belongs to.
         run_id: String,
@@ -308,8 +315,8 @@ pub enum JobEvent {
         shard: usize,
         /// The kind of work the shard carried.
         work: ShardWorkKind,
-        /// Number of candidates evaluated (evaluation shards) or `1` (a
-        /// variation shard is one Pareto point).
+        /// Number of candidates evaluated (evaluation shards) or Pareto
+        /// points analysed (variation shards).
         candidates: usize,
         /// Index of the servicing worker.
         worker: usize,
@@ -624,14 +631,22 @@ impl JobServer {
     /// Returns [`JobError::Store`] when the store itself becomes unusable
     /// (individual run failures are reported in the [`JobReport`] instead).
     pub fn run(&self) -> Result<JobReport, JobError> {
-        let report = Mutex::new(JobReport::default());
         // A malformed coordinator URL fails fast, before any thread starts;
         // an unreachable coordinator does not (workers just poll into the
         // void until it comes up — that is the fleet's normal startup order).
-        let net = match &self.config.transport {
-            Some(url) => Some(TcpTransport::from_url(url).map_err(JobError::Transport)?),
-            None => None,
+        let plane = match &self.config.transport {
+            Some(url) => ShardPlane::pinned(url)?,
+            None => ShardPlane::for_store(&self.shared.store)?,
         };
+        let outcome = self.serve(&plane);
+        plane.close(&self.shared.store);
+        outcome
+    }
+
+    /// [`JobServer::run`] once the coordinator is settled: recovery pass,
+    /// then worker pool + queue polling, all servicing `plane`.
+    fn serve(&self, plane: &ShardPlane) -> Result<JobReport, JobError> {
+        let report = Mutex::new(JobReport::default());
         if !self.config.shards_only {
             self.recover_and_requeue(&report)?;
         }
@@ -640,11 +655,10 @@ impl JobServer {
             for worker in 0..self.config.workers.max(1) {
                 let shared = Arc::clone(&self.shared);
                 let config = self.config.clone();
-                let net = net.clone();
                 let report = &report;
-                scope.spawn(move || worker_loop(&shared, &config, worker, net.as_ref(), report));
+                scope.spawn(move || worker_loop(&shared, &config, worker, plane, report));
             }
-            let result = self.serve_loop(net.as_ref(), &report);
+            let result = self.serve_loop(plane, &report);
             // Drain finished or shutdown requested (or the store broke):
             // stop the workers either way, then let the scope join them.
             self.shared.signal_stop();
@@ -680,17 +694,19 @@ impl JobServer {
     /// when a drain-mode server is done. Long-lived servers also repeat the
     /// recovery pass every [`JobServerConfig::recovery_interval`] so work
     /// stranded by a dead or shut-down peer is adopted without a restart.
-    fn serve_loop(
-        &self,
-        net: Option<&TcpTransport>,
-        report: &Mutex<JobReport>,
-    ) -> Result<(), JobError> {
+    fn serve_loop(&self, plane: &ShardPlane, report: &Mutex<JobReport>) -> Result<(), JobError> {
         // Terminal runs are remembered so each poll reads only live
         // manifests — a store full of old completed runs costs one scan,
         // not one scan per tick.
         let mut terminal = HashSet::new();
         let mut last_recovery = std::time::Instant::now();
+        let mut last_refresh = std::time::Instant::now();
         loop {
+            if last_refresh.elapsed() >= PLANE_REFRESH_INTERVAL {
+                // Best effort: a failed re-resolution is retried next time.
+                let _ = plane.refresh(&self.shared.store);
+                last_refresh = std::time::Instant::now();
+            }
             if !self.config.drain
                 && !self.config.shards_only
                 && last_recovery.elapsed() >= self.config.recovery_interval
@@ -755,21 +771,16 @@ impl JobServer {
                 return Ok(());
             }
             if self.config.drain && no_new_work && queue_empty && busy == 0 {
-                // A shards-only (or shard-servicing) drain server is done
-                // only when the data plane is drained too — the on-disk one
-                // and, with a transport configured, the coordinator's (an
-                // unreachable coordinator counts as drained: there is
-                // nothing this server could service there anyway).
-                let disk_drained =
-                    !self.config.service_shards || self.shared.store.open_shard_tasks()?.is_empty();
-                let net_drained = match net {
-                    Some(net) => net
-                        .coordinator_stats()
-                        .map(|stats| stats.open_shards == 0)
-                        .unwrap_or(true),
-                    None => true,
-                };
-                if disk_drained && net_drained {
+                // A drain server is done only when its coordinator's shards
+                // are drained too (an unreachable coordinator counts as
+                // drained: there is nothing this server could service there
+                // anyway).
+                let drained = plane
+                    .net()
+                    .coordinator_stats()
+                    .map(|stats| stats.open_shards == 0)
+                    .unwrap_or(true);
+                if drained {
                     return Ok(());
                 }
             }
@@ -855,6 +866,142 @@ impl JobServer {
     }
 }
 
+/// The shard coordinator a server's workers service and the sharded runs it
+/// executes publish to. With [`JobServerConfig::transport`] that is the given
+/// coordinator, for good. Without, all servers on one store share one: a
+/// server joins the coordinator the store advertises while it answers, and
+/// hosts (and advertises) its own only when none does — at startup, and
+/// whenever the coordinator it joined stops answering.
+struct ShardPlane {
+    state: Mutex<PlaneState>,
+}
+
+struct PlaneState {
+    /// The coordinator currently serviced.
+    net: TcpTransport,
+    role: PlaneRole,
+}
+
+enum PlaneRole {
+    /// An explicit `--transport`: never re-resolved.
+    Pinned,
+    /// The store's advertised coordinator, hosted by a peer.
+    Joined,
+    /// Hosted in-process by this server (and advertised in the store).
+    Hosted(Coordinator),
+}
+
+impl ShardPlane {
+    fn pinned(url: &str) -> Result<ShardPlane, JobError> {
+        let net = TcpTransport::from_url(url).map_err(JobError::Transport)?;
+        Ok(ShardPlane::new(PlaneState {
+            net,
+            role: PlaneRole::Pinned,
+        }))
+    }
+
+    fn for_store(store: &Store) -> Result<ShardPlane, JobError> {
+        Ok(ShardPlane::new(match live_advertisement(store) {
+            Some(net) => PlaneState {
+                net,
+                role: PlaneRole::Joined,
+            },
+            None => host_coordinator(store)?,
+        }))
+    }
+
+    fn new(state: PlaneState) -> ShardPlane {
+        ShardPlane {
+            state: Mutex::new(state),
+        }
+    }
+
+    /// A client for the coordinator currently serviced.
+    fn net(&self) -> TcpTransport {
+        self.state.lock().expect("shard plane lock").net.clone()
+    }
+
+    /// Re-resolves the store's coordinator. A joined server follows the
+    /// advertisement while it answers and hosts its own once none does. A
+    /// hosting server keeps its coordinator — runs in flight publish to it
+    /// — and re-advertises it when the store advertises nothing that
+    /// answers (a peer that overwrote the advertisement withdrew it).
+    fn refresh(&self, store: &Store) -> Result<(), JobError> {
+        let (current, hosting) = {
+            let state = self.state.lock().expect("shard plane lock");
+            match &state.role {
+                PlaneRole::Pinned => return Ok(()),
+                PlaneRole::Joined => (state.net.url(), false),
+                PlaneRole::Hosted(_) => (state.net.url(), true),
+            }
+        };
+        // Probe outside the lock: workers read the plane every poll.
+        let live = live_advertisement(store);
+        if hosting {
+            if live.is_none() {
+                store.advertise_coordinator(&current)?;
+            }
+            return Ok(());
+        }
+        let next = match live {
+            Some(net) if net.url() == current => return Ok(()),
+            Some(net) => PlaneState {
+                net,
+                role: PlaneRole::Joined,
+            },
+            None => host_coordinator(store)?,
+        };
+        *self.state.lock().expect("shard plane lock") = next;
+        Ok(())
+    }
+
+    /// Withdraws a hosted coordinator's advertisement — compare-and-delete,
+    /// so a peer that advertised since keeps its own — and shuts it down.
+    fn close(self, store: &Store) {
+        let state = self.state.into_inner().expect("shard plane lock");
+        if let PlaneRole::Hosted(coordinator) = state.role {
+            let _ = store.withdraw_coordinator(&coordinator.url());
+            coordinator.shutdown();
+        }
+    }
+}
+
+/// A client for the store's advertised coordinator, if it answers a stats
+/// request.
+fn live_advertisement(store: &Store) -> Option<TcpTransport> {
+    let net = TcpTransport::from_url(&store.advertised_coordinator()?).ok()?;
+    net.coordinator_stats().ok()?;
+    Some(net)
+}
+
+/// Binds a coordinator on `127.0.0.1:0` and advertises it in the store.
+fn host_coordinator(store: &Store) -> Result<PlaneState, JobError> {
+    let coordinator = Coordinator::bind(
+        "127.0.0.1:0",
+        CoordinatorConfig {
+            stale_after: HOSTED_CLAIM_STALE_AFTER,
+        },
+    )
+    .map_err(|e| JobError::Transport(format!("cannot host a shard coordinator: {e}")))?;
+    let url = coordinator.url();
+    store.advertise_coordinator(&url)?;
+    let net = TcpTransport::from_url(&url).map_err(JobError::Transport)?;
+    Ok(PlaneState {
+        net,
+        role: PlaneRole::Hosted(coordinator),
+    })
+}
+
+/// How often a server without an explicit transport re-resolves the
+/// store's coordinator (see [`ShardPlane::refresh`]).
+const PLANE_REFRESH_INTERVAL: Duration = Duration::from_secs(1);
+
+/// How long a claim on the hosted coordinator may go without a heartbeat
+/// before another party may steal it. Workers heartbeat every second while
+/// servicing, so this only fires for a worker that died or hung; a steal is
+/// safe either way, because the coordinator fences the late write off.
+const HOSTED_CLAIM_STALE_AFTER: Duration = Duration::from_secs(10);
+
 /// The tenant and priority a queued run dispatches under, from the optional
 /// `tenant`/`priority` extras of its manifest (written by the service plane
 /// at submission). Runs without them — every directly `ayb submit`ted run —
@@ -901,27 +1048,21 @@ fn worker_loop(
     shared: &Arc<Shared>,
     config: &JobServerConfig,
     worker: usize,
-    net: Option<&TcpTransport>,
+    plane: &ShardPlane,
     report: &Mutex<JobReport>,
 ) {
     loop {
         if shared.stop_workers.load(Ordering::SeqCst) {
             return;
         }
+        let net = &plane.net();
         // Shard-first priority: drain the data plane before taking new
         // control-plane work. Runs executing on other workers (here or in
         // other processes) block on their shards; servicing those first
         // keeps every in-flight run progressing even when all run-executing
         // workers are occupied.
-        if config.service_shards && service_one_shard(shared, config, worker, report) {
+        if service_next_task(shared, config, worker, net, report) {
             continue;
-        }
-        // The network data plane gets the same priority: a coordinator task
-        // is some run's in-flight population or variation point.
-        if let Some(net) = net {
-            if config.service_shards && service_one_net_shard(shared, config, worker, net, report) {
-                continue;
-            }
         }
         let run_id = {
             let mut state = shared.queue.lock().expect("queue lock");
@@ -940,8 +1081,8 @@ fn worker_loop(
                 }
                 None => {
                     // Idle: sleep until new work is signalled — but only
-                    // with a timeout, because shard tasks appear on disk
-                    // without any in-process notification.
+                    // with a timeout, because shard tasks appear on the
+                    // coordinator without any in-process notification.
                     let _ = shared
                         .wake
                         .wait_timeout(state, config.poll_interval)
@@ -950,7 +1091,7 @@ fn worker_loop(
                 }
             }
         };
-        let outcome = execute_run(shared, config, worker, &run_id);
+        let outcome = execute_run(shared, config, worker, net, &run_id);
         {
             let mut state = shared.queue.lock().expect("queue lock");
             // Release the WRR running slot whatever the outcome — a skipped
@@ -993,145 +1134,17 @@ fn worker_loop(
     }
 }
 
-/// Claims and services at most one shard task — a population-evaluation
-/// shard or a variation (Monte Carlo) point — returning whether one was
-/// serviced.
+/// Claims and services at most one shard task from the coordinator — a
+/// population-evaluation shard or a batch of variation (Monte Carlo)
+/// points — returning whether one was serviced.
 ///
-/// The problem (and, for variation shards, the full flow configuration) is
-/// reconstructed from the owning run's manifest — identical to what the
-/// submitting flow built, so a shard produces the same output whichever
-/// process services it: evaluation shards through
-/// `SizingProblem::evaluate_batch`, variation shards through
-/// `ayb_core::analyse_variation_point` with the per-point seed carried in
-/// the task.
-fn service_one_shard(
-    shared: &Arc<Shared>,
-    config: &JobServerConfig,
-    worker: usize,
-    report: &Mutex<JobReport>,
-) -> bool {
-    let Ok(tasks) = shared.store.open_shard_tasks() else {
-        return false;
-    };
-    for mut task in tasks {
-        match task.try_claim(&format!("{}/worker-{}", config.owner, worker)) {
-            Ok(true) => {}
-            _ => continue,
-        }
-        {
-            let mut state = shared.queue.lock().expect("queue lock");
-            state.busy += 1;
-        }
-        // Heartbeat the shard claim while evaluating, so an aggressive
-        // recovery pass never mistakes a slow evaluation for a dead worker.
-        let heartbeat = task.start_claim_heartbeat(Duration::from_secs(1));
-        let serviced = (|| {
-            let work = match task.load_work() {
-                Ok(Some(work)) => work,
-                // The epoch was closed (or the task file is unreadable):
-                // nothing to do.
-                _ => return false,
-            };
-            let Some((problem, flow)) = shard_flow_setup(&shared.store, task.run_id()) else {
-                return false;
-            };
-            let (outcome, candidates, kind) = match work {
-                ShardWork::Eval { parameters } => {
-                    let results = problem.evaluate_batch(&parameters);
-                    (
-                        ShardOutcome::Eval { results },
-                        parameters.len(),
-                        ShardWorkKind::Eval,
-                    )
-                }
-                ShardWork::Variation {
-                    parameters,
-                    mc_seed,
-                } => {
-                    let t0 = std::time::Instant::now();
-                    let data =
-                        ayb_core::analyse_variation_point(&problem, &parameters, &flow, mc_seed);
-                    let outcome = ShardOutcome::Variation(VariationOutcome {
-                        data: data.as_ref().map(serde::Serialize::to_value),
-                        elapsed_seconds: t0.elapsed().as_secs_f64(),
-                    });
-                    (outcome, 1, ShardWorkKind::Variation)
-                }
-                ShardWork::VariationBatch { points } => {
-                    let outcomes: Vec<VariationOutcome> = points
-                        .iter()
-                        .map(|point| {
-                            let t0 = std::time::Instant::now();
-                            let data = ayb_core::analyse_variation_point(
-                                &problem,
-                                &point.parameters,
-                                &flow,
-                                point.mc_seed,
-                            );
-                            VariationOutcome {
-                                data: data.as_ref().map(serde::Serialize::to_value),
-                                elapsed_seconds: t0.elapsed().as_secs_f64(),
-                            }
-                        })
-                        .collect();
-                    let count = outcomes.len();
-                    (
-                        ShardOutcome::VariationBatch { points: outcomes },
-                        count,
-                        ShardWorkKind::Variation,
-                    )
-                }
-            };
-            match task.submit_outcome(&outcome) {
-                Ok(true) => {}
-                Ok(false) => {
-                    // Fenced off: a recovery pass stole this claim
-                    // mid-service and the successor's (identical) result is
-                    // the authoritative one; ours is discarded.
-                    report.lock().expect("report lock").shards_fenced += 1;
-                    return false;
-                }
-                // Epoch closed mid-service: the submitter assembled the
-                // stage without this shard; drop the result.
-                Err(_) => return false,
-            }
-            shared.emit(JobEvent::ShardServiced {
-                run_id: task.run_id().to_string(),
-                epoch: task.epoch().to_string(),
-                shard: task.shard(),
-                work: kind,
-                candidates,
-                worker,
-            });
-            true
-        })();
-        drop(heartbeat);
-        if !serviced {
-            task.release();
-        }
-        {
-            let mut state = shared.queue.lock().expect("queue lock");
-            state.busy -= 1;
-        }
-        shared.wake.notify_all();
-        if serviced {
-            report.lock().expect("report lock").shards_serviced += 1;
-            return true;
-        }
-    }
-    false
-}
-
-/// Claims and services at most one *network* shard task from the
-/// coordinator, returning whether one was serviced.
-///
-/// Unlike the on-disk plane, the task is self-contained: it carries the
-/// submitting run's flow configuration, so the problem is rebuilt from the
-/// task itself and the worker never touches the submitter's store — this is
-/// what lets a fleet run with no shared filesystem at all. Determinism is
-/// unchanged: the same configuration rebuilds the same problem whichever
-/// machine services the shard.
-fn service_one_net_shard(
+/// The task is self-contained: it carries the submitting run's flow
+/// configuration, so the problem is rebuilt from the task itself and the
+/// worker never touches the submitter's store — this is what lets a fleet
+/// run with no shared filesystem at all. Determinism is unchanged: the same
+/// configuration rebuilds the same problem whichever machine services the
+/// shard, and variation points carry their own derived seeds.
+fn service_next_task(
     shared: &Arc<Shared>,
     config: &JobServerConfig,
     worker: usize,
@@ -1152,7 +1165,7 @@ fn service_one_net_shard(
     // Heartbeat the claim while evaluating, so the coordinator's recovery
     // never mistakes a slow evaluation for a hung worker.
     let pulse = ClaimPulse::start(net.clone(), &task, Duration::from_secs(1));
-    let serviced = service_net_task(shared, net, &task, worker, report);
+    let serviced = service_task(shared, net, &task, worker, report);
     drop(pulse);
     // An abandoned claim needs no release call: once its heartbeat stops,
     // the coordinator's recovery expires it and the shard is re-claimable.
@@ -1167,12 +1180,12 @@ fn service_one_net_shard(
     serviced
 }
 
-/// Evaluates one claimed [`NetShardTask`] and submits its outcome under the
+/// Evaluates one claimed [`WorkerTask`] and submits its outcome under the
 /// task's fencing token.
-fn service_net_task(
+fn service_task(
     shared: &Arc<Shared>,
     net: &TcpTransport,
-    task: &NetShardTask,
+    task: &WorkerTask,
     worker: usize,
     report: &Mutex<JobReport>,
 ) -> bool {
@@ -1193,21 +1206,6 @@ fn service_net_task(
             parameters.len(),
             ShardWorkKind::Eval,
         ),
-        ShardWork::Variation {
-            parameters,
-            mc_seed,
-        } => {
-            let t0 = std::time::Instant::now();
-            let data = ayb_core::analyse_variation_point(&problem, parameters, &flow, *mc_seed);
-            (
-                ShardOutcome::Variation(VariationOutcome {
-                    data: data.as_ref().map(serde::Serialize::to_value),
-                    elapsed_seconds: t0.elapsed().as_secs_f64(),
-                }),
-                1,
-                ShardWorkKind::Variation,
-            )
-        }
         ShardWork::VariationBatch { points } => {
             let outcomes: Vec<VariationOutcome> = points
                 .iter()
@@ -1256,16 +1254,6 @@ fn service_net_task(
     true
 }
 
-/// Rebuilds the sizing problem (and flow configuration) a run's sharded flow
-/// works with, from its manifest.
-fn shard_flow_setup(store: &Store, run_id: &str) -> Option<(OtaSizingProblem, FlowConfig)> {
-    let manifest: Manifest<FlowConfig> = store.run(run_id).ok()?.manifest().ok()?;
-    let problem = OtaSizingProblem::new(manifest.flow.testbench, manifest.flow.sweep.clone())
-        .with_threads(manifest.flow.threads)
-        .with_solver(manifest.flow.solver);
-    Some((problem, manifest.flow))
-}
-
 /// Executes one run to a terminal state. The claim is taken (and released)
 /// by the flow itself, so a run another process claimed first comes back as
 /// [`Outcome::Skipped`] without this worker having touched any state.
@@ -1273,6 +1261,7 @@ fn execute_run(
     shared: &Arc<Shared>,
     config: &JobServerConfig,
     worker: usize,
+    net: &TcpTransport,
     run_id: &str,
 ) -> Outcome {
     let handle = match shared.store.run(run_id) {
@@ -1294,7 +1283,10 @@ fn execute_run(
         shared: Arc::clone(shared),
         run_id: run_id.to_string(),
     };
+    // Sharded runs publish to this server's coordinator, which its workers
+    // service; the manifest keeps the configuration as submitted.
     let outcome = builder
+        .with_coordinator(net.url())
         .with_claim_owner(format!("{}/worker-{}", config.owner, worker))
         .halt_when(Arc::clone(&shared.halt_runs))
         .with_observer(observer)
@@ -1323,14 +1315,13 @@ mod tests {
         assert!(config.workers >= 1);
         assert!(!config.drain);
         assert!(config.owner.contains(&std::process::id().to_string()));
-        assert!(config.service_shards);
         assert!(!config.shards_only);
         let drain = JobServerConfig::drain_with_workers(4);
         assert_eq!(drain.workers, 4);
         assert!(drain.drain);
         let shards = JobServerConfig::shards_only_with_workers(3);
         assert_eq!(shards.workers, 3);
-        assert!(shards.shards_only && shards.service_shards && !shards.drain);
+        assert!(shards.shards_only && !shards.drain);
         assert!(config.transport.is_none());
     }
 

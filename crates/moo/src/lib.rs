@@ -26,7 +26,7 @@
 //! * [`sharding`] — the [`BatchEvaluator`] seam under
 //!   [`SizingProblem::evaluate_batch`] and the [`ShardedEvaluator`], which
 //!   distributes batches as deterministic shards over a [`ShardTransport`]
-//!   (the run store's on-disk shard plane, in production) so any number of
+//!   (the `ayb_net` TCP coordinator, in production) so any number of
 //!   worker processes — on any number of machines sharing the transport —
 //!   evaluate one optimiser's populations, with results bit-identical to
 //!   single-process runs.
@@ -91,8 +91,6 @@ pub use pareto::{
     crowding_distance, dominates, fast_non_dominated_sort, hypervolume_2d, non_dominated_indices,
     pareto_front, FrontTracker,
 };
-/// Backwards-compatible alias for [`SizingProblem`] (the pre-redesign name).
-pub use problem::SizingProblem as MultiObjectiveProblem;
 pub use problem::{
     evaluate_batch_parallel, Evaluation, FnProblem, ObjectiveSpec, Sense, SizingProblem,
 };

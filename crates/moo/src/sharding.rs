@@ -92,9 +92,9 @@ impl std::error::Error for ShardError {}
 ///   longer than the transport's staleness bound, making the shard
 ///   claimable again.
 ///
-/// The reference implementation is the run store's on-disk shard plane
-/// (`ayb_store`), which maps epochs to directories and uses hard-link claim
-/// files; tests use in-memory transports.
+/// The production implementation is `ayb_net::TcpTransport`, the client of
+/// an in-memory TCP coordinator with fencing tokens; tests use in-memory
+/// transports.
 pub trait ShardTransport: Send + Sync {
     /// Opens a new epoch for `shard_count` shards, returning its identifier
     /// (unique within the transport).

@@ -1,18 +1,19 @@
 //! The coordinator: a TCP server owning shard-epoch state in memory.
 //!
-//! One [`Coordinator`] replaces the shared store directory as the meeting
-//! point of a sharded run: the submitting flow opens epochs and publishes
-//! work here, workers claim and submit here, and nobody touches anybody
-//! else's filesystem. State is deliberately *in memory only* — an epoch is
+//! One [`Coordinator`] is the meeting point of a sharded run: the submitting
+//! flow opens epochs and publishes work here, workers claim and submit here,
+//! and nobody touches anybody else's filesystem. State is deliberately *in memory only* — an epoch is
 //! scratch space for one batch, and the flow's `drive_epoch` loop already
 //! survives total state loss (every request errors, the per-shard fallback
-//! services the work locally, the digest is unchanged). What the coordinator
-//! adds over the disk plane is **fencing**: every claim carries a
+//! services the work locally, the digest is unchanged). Claims are
+//! **fenced**: every claim carries a
 //! per-shard monotonic token, a claim whose heartbeat lapses can be stolen
 //! by re-claiming at a higher token, and a submission is accepted only from
 //! the highest token ever issued — so a hung worker that wakes up after its
-//! claim was stolen has its late write *rejected*, not merged. The disk
-//! plane can only surface that hazard; the coordinator closes it.
+//! claim was stolen has its late write *rejected*, not merged. Epochs are
+//! fenced per run as well: each records the run-claim token of the flow that
+//! opened it, and a flow that takes over a run drops its predecessor's
+//! epochs ([`Request::CloseRunEpochs`]).
 
 use std::collections::BTreeMap;
 use std::io;
@@ -23,10 +24,12 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use ayb_obs::{kind as event_kind, Event, Recorder, Severity};
-use ayb_store::{ShardOutcome, ShardWork, ShardWorkKind};
 use serde::Value;
 
-use crate::wire::{read_frame, write_frame, CoordinatorStats, NetShardTask, Request, Response};
+use crate::wire::{
+    read_frame, write_frame, CoordinatorStats, Request, Response, ShardOutcome, ShardWork,
+    ShardWorkKind, WorkerTask,
+};
 
 /// Tuning knobs for a [`Coordinator`].
 #[derive(Debug, Clone, Copy)]
@@ -89,7 +92,11 @@ impl ShardSlot {
 /// One open epoch.
 struct EpochSlot {
     kind: ShardWorkKind,
+    /// The run that opened the epoch: its store's identity and its id.
+    store: String,
     run_id: String,
+    /// Run-claim fencing token of the flow that opened the epoch.
+    fence: u64,
     context: Option<Value>,
     shards: Vec<ShardSlot>,
 }
@@ -100,6 +107,10 @@ struct CoordState {
     epochs: BTreeMap<String, EpochSlot>,
     /// Epoch name counter, never rewound (not even by [`Coordinator::wipe_state`]).
     next_epoch: u64,
+    /// Per run (keyed by store identity and run id), the highest run-claim
+    /// token a [`Request::CloseRunEpochs`] presented: opens under a lower
+    /// token come from superseded executors.
+    run_fences: BTreeMap<(String, String), u64>,
     /// Incremented by [`Coordinator::wipe_state`] and baked into epoch
     /// names, so a "restarted" coordinator can never re-mint a pre-restart
     /// epoch name (a real restart achieves the same with its fresh process).
@@ -142,6 +153,7 @@ impl Coordinator {
             state: Mutex::new(CoordState {
                 epochs: BTreeMap::new(),
                 next_epoch: 0,
+                run_fences: BTreeMap::new(),
                 boot: 0,
                 claims_issued: 0,
                 fenced_rejections: 0,
@@ -255,6 +267,7 @@ impl Coordinator {
     pub fn wipe_state(&self) {
         let mut state = self.shared.state.lock().expect("coordinator state lock");
         state.epochs.clear();
+        state.run_fences.clear();
         state.boot += 1;
     }
 
@@ -362,9 +375,23 @@ fn dispatch_request(shared: &CoordShared, request: Request) -> Response {
         Request::OpenEpoch {
             kind,
             shard_count,
+            store,
             run_id,
+            fence,
             context,
         } => {
+            if state
+                .run_fences
+                .get(&(store.clone(), run_id.clone()))
+                .is_some_and(|&floor| fence < floor)
+            {
+                return Response::Error {
+                    message: format!(
+                        "run `{run_id}` was taken over by a newer claim; \
+                         fencing token {fence} is superseded"
+                    ),
+                };
+            }
             state.next_epoch += 1;
             let prefix = match kind {
                 ShardWorkKind::Eval => "ep",
@@ -377,7 +404,9 @@ fn dispatch_request(shared: &CoordShared, request: Request) -> Response {
                 epoch.clone(),
                 EpochSlot {
                     kind,
+                    store,
                     run_id,
+                    fence,
                     context,
                     shards,
                 },
@@ -549,6 +578,21 @@ fn dispatch_request(shared: &CoordShared, request: Request) -> Response {
             state.epochs.remove(&epoch);
             Response::Ok
         }
+        Request::CloseRunEpochs {
+            store,
+            run_id,
+            fence,
+        } => {
+            let before = state.epochs.len();
+            state.epochs.retain(|_, epoch| {
+                epoch.store != store || epoch.run_id != run_id || epoch.fence >= fence
+            });
+            let floor = state.run_fences.entry((store, run_id)).or_insert(0);
+            *floor = (*floor).max(fence);
+            Response::RunEpochsClosed {
+                closed: before - state.epochs.len(),
+            }
+        }
         Request::ClaimNext { owner } => {
             let mut claimed = None;
             let mut claims = 0;
@@ -564,7 +608,7 @@ fn dispatch_request(shared: &CoordShared, request: Request) -> Response {
                             heartbeat: Instant::now(),
                         });
                         claims += 1;
-                        claimed = Some(NetShardTask {
+                        claimed = Some(WorkerTask {
                             run_id: epoch.run_id.clone(),
                             epoch: name.clone(),
                             shard,
@@ -649,6 +693,7 @@ fn unknown_shard(epoch: &str, shard: usize) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{VariationOutcome, VariationPointWork};
     use crate::TcpTransport;
     use ayb_moo::ShardTransport;
 
@@ -749,17 +794,22 @@ mod tests {
     fn claim_next_hands_out_work_with_context() {
         let coordinator = coordinator(Duration::from_secs(60));
         let plane = transport(&coordinator).with_run_context(
+            "store-a",
             "run-0042",
+            1,
             Value::Object(vec![("threads".to_string(), Value::Int(2))]),
         );
         let epoch = plane.open_typed_epoch(ShardWorkKind::Variation, 1).unwrap();
+        let point = VariationPointWork {
+            parameters: vec![0.5, 0.5],
+            mc_seed: 77,
+        };
         plane
             .publish_work(
                 &epoch,
                 0,
-                &ShardWork::Variation {
-                    parameters: vec![0.5, 0.5],
-                    mc_seed: 77,
+                &ShardWork::VariationBatch {
+                    points: vec![point.clone()],
                 },
             )
             .unwrap();
@@ -771,10 +821,12 @@ mod tests {
         assert_eq!(task.epoch, epoch);
         assert_eq!(task.shard, 0);
         assert!(task.context.is_some(), "flow context travels with the task");
-        assert!(matches!(
+        assert_eq!(
             task.work,
-            ShardWork::Variation { mc_seed: 77, .. }
-        ));
+            ShardWork::VariationBatch {
+                points: vec![point]
+            }
+        );
         // Nothing else to hand out while the claim is live.
         assert_eq!(plane.claim_next("worker-b").unwrap(), None);
         let description = coordinator.describe().join("\n");
@@ -782,12 +834,65 @@ mod tests {
             description.contains("run run-0042") && description.contains("worker-a#1"),
             "coordinator describes its claims: {description}"
         );
-        let outcome = ShardOutcome::Variation(ayb_store::VariationOutcome {
-            data: None,
-            elapsed_seconds: 0.25,
-        });
+        let outcome = ShardOutcome::VariationBatch {
+            points: vec![VariationOutcome {
+                data: None,
+                elapsed_seconds: 0.25,
+            }],
+        };
         assert!(plane.submit_task(&task, &outcome).unwrap());
         assert_eq!(plane.fetch_outcome(&epoch, 0).unwrap(), Some(outcome));
+    }
+
+    #[test]
+    fn a_new_run_claim_closes_its_predecessors_epochs() {
+        let coordinator = coordinator(Duration::from_secs(60));
+        let context = Value::Object(Vec::new());
+        let crashed =
+            transport(&coordinator).with_run_context("store-a", "run-7", 3, context.clone());
+        let stale = crashed.open_typed_epoch(ShardWorkKind::Eval, 1).unwrap();
+        crashed.publish(&stale, 0, &[vec![1.0]]).unwrap();
+        let other =
+            transport(&coordinator).with_run_context("store-a", "run-8", 1, context.clone());
+        let bystander = other.open_typed_epoch(ShardWorkKind::Eval, 1).unwrap();
+
+        // The successor (a higher run-claim token) drops the stale epoch —
+        // and only that one.
+        let successor = transport(&coordinator).with_run_context("store-a", "run-7", 4, context);
+        assert_eq!(successor.close_run_epochs().unwrap(), 1);
+        assert!(
+            successor.fetch(&stale, 0).is_err(),
+            "the stale epoch is gone"
+        );
+        assert_eq!(other.fetch(&bystander, 0).unwrap(), None);
+        assert_eq!(successor.claim_next("worker").unwrap(), None);
+
+        // The superseded executor can neither open new epochs nor close the
+        // successor's.
+        assert!(crashed.open_typed_epoch(ShardWorkKind::Eval, 1).is_err());
+        let fresh = successor.open_typed_epoch(ShardWorkKind::Eval, 1).unwrap();
+        assert_eq!(crashed.close_run_epochs().unwrap(), 0);
+        assert_eq!(successor.fetch(&fresh, 0).unwrap(), None);
+        assert_eq!(coordinator.stats().epochs, 2);
+    }
+
+    #[test]
+    fn same_named_runs_of_different_stores_never_fence_each_other() {
+        let coordinator = coordinator(Duration::from_secs(60));
+        let context = Value::Object(Vec::new());
+        // Store A's first attempt at its run-0001 is live...
+        let a = transport(&coordinator).with_run_context("store-a", "run-0001", 1, context.clone());
+        let live = a.open_typed_epoch(ShardWorkKind::Eval, 1).unwrap();
+        // ...when store B resumes its own run-0001 under a higher token.
+        let b = transport(&coordinator).with_run_context("store-b", "run-0001", 2, context.clone());
+        assert_eq!(b.close_run_epochs().unwrap(), 0, "A's epoch is not B's");
+        assert_eq!(a.fetch(&live, 0).unwrap(), None, "A's epoch survives");
+        assert!(a.open_typed_epoch(ShardWorkKind::Eval, 1).is_ok());
+        // A fresh run-0001 of a third store starts at token 1 unhindered.
+        let c = transport(&coordinator).with_run_context("store-c", "run-0001", 1, context);
+        assert_eq!(c.close_run_epochs().unwrap(), 0);
+        assert!(c.open_typed_epoch(ShardWorkKind::Eval, 1).is_ok());
+        assert_eq!(coordinator.stats().epochs, 3);
     }
 
     #[test]

@@ -1,39 +1,54 @@
-//! The TCP shard data plane: shard epochs over a socket instead of a shared
-//! filesystem.
+//! The shard data plane: shard epochs over TCP.
 //!
-//! PRs 4–5 made everything *above* the transport multi-host — sharded
-//! evaluation, the sharded variation stage, shard-first job workers — but the
-//! only [`ShardTransport`](ayb_moo::ShardTransport) implementation was the
-//! store's on-disk plane, so a fleet still needed every machine to mount the
-//! same store path. This crate removes that requirement with three pieces,
-//! all built on `std::net` and the vendored JSON stack (no new
-//! dependencies):
+//! A sharded flow splits its heavy batches — each optimiser population, and
+//! the Monte Carlo variation stage's Pareto points — into shards that any
+//! number of worker processes may service. This crate is the one plane
+//! those shards travel through, built on `std::net` and the vendored JSON
+//! stack (no new dependencies):
 //!
-//! * **[`wire`]** — a length-prefixed JSON frame format plus the
-//!   request/response vocabulary spoken over it;
+//! * **[`wire`]** — a length-prefixed JSON frame format, the typed shard
+//!   payloads ([`ShardWork`] / [`ShardOutcome`]) and the request/response
+//!   vocabulary spoken over it;
 //! * **[`Coordinator`]** — a thread-per-connection TCP server owning epoch
-//!   state *in memory*: it opens typed epochs
-//!   ([`ShardWork::Eval`](ayb_store::ShardWork)/[`Variation`](ayb_store::ShardWork)),
-//!   hands out claims stamped with **monotonic fencing tokens**, expires
-//!   claims whose heartbeats lapse, and accepts a shard's result only from
-//!   the holder of the *highest* token ever issued for that shard — a late
-//!   write from a stolen (hung, then superseded) claim is rejected, not
-//!   merged;
+//!   state *in memory*: it opens typed epochs, hands out claims stamped with
+//!   **monotonic fencing tokens**, expires claims whose heartbeats lapse,
+//!   and accepts a shard's result only from the holder of the *highest*
+//!   token ever issued for that shard — a late write from a stolen (hung,
+//!   then superseded) claim is rejected, not merged. `ayb coordinate` runs
+//!   one standalone; every `ayb serve` without `--transport` hosts one
+//!   in-process and advertises it in its store;
 //! * **[`TcpTransport`]** — the client: a
 //!   [`ShardTransport`](ayb_moo::ShardTransport) implementation plus the
-//!   typed epoch API the variation stage
-//!   uses, so `ShardedEvaluator`/`drive_epoch` run over TCP unchanged, and a
+//!   typed epoch API the variation stage uses, so
+//!   `ShardedEvaluator`/`drive_epoch` run over TCP unchanged, and a
 //!   worker-facing [`TcpTransport::claim_next`] that carries the run's
 //!   `FlowConfig` over the wire so workers need no access to the run store
 //!   at all.
 //!
-//! Determinism is untouched: the coordinator stores opaque
-//! [`ShardWork`](ayb_store::ShardWork)/[`ShardOutcome`](ayb_store::ShardOutcome)
-//! payloads and the submitting flow reassembles results in index order
-//! exactly as it does over disk. If the coordinator dies, every request
-//! errors, `drive_epoch`'s per-shard fallback services the work locally, and
-//! the digest is unchanged — the coordinator is an accelerator, never a
-//! correctness dependency.
+//! Determinism is untouched: the coordinator stores opaque payloads and the
+//! submitting flow reassembles results in index order. If the coordinator
+//! dies, every request errors, `drive_epoch`'s per-shard fallback services
+//! the work locally, and the digest is unchanged — the coordinator is an
+//! accelerator, never a correctness dependency.
+//!
+//! One shard's round trip — open an epoch, publish, claim, submit, fetch,
+//! close — against a coordinator on an ephemeral loopback port:
+//!
+//! ```
+//! use ayb_moo::{Evaluation, ShardTransport};
+//! use ayb_net::{Coordinator, CoordinatorConfig, TcpTransport};
+//!
+//! let coordinator = Coordinator::bind("127.0.0.1:0", CoordinatorConfig::default()).unwrap();
+//! let plane = TcpTransport::from_url(&coordinator.url()).unwrap();
+//! let epoch = plane.open_epoch(1).unwrap();
+//! plane.publish(&epoch, 0, &[vec![0.5, 0.5]]).unwrap();
+//! assert!(plane.try_claim(&epoch, 0).unwrap());
+//! let results = vec![Some(Evaluation::new(vec![0.5, 0.5], vec![1.0]))];
+//! plane.submit(&epoch, 0, &results).unwrap();
+//! assert_eq!(plane.fetch(&epoch, 0).unwrap(), Some(results));
+//! plane.close_epoch(&epoch).unwrap();
+//! assert_eq!(coordinator.stats().epochs, 0);
+//! ```
 
 #![deny(missing_docs)]
 
@@ -43,7 +58,10 @@ pub mod wire;
 
 pub use coordinator::{Coordinator, CoordinatorConfig};
 pub use transport::{ClaimPulse, TcpTransport, TransportStats};
-pub use wire::{CoordinatorStats, NetShardTask, Request, Response};
+pub use wire::{
+    CoordinatorStats, Request, Response, ShardOutcome, ShardWork, ShardWorkKind, VariationOutcome,
+    VariationPointWork, WorkerTask,
+};
 
 /// Parses a `tcp://host:port` transport URL into its `host:port` socket
 /// address, rejecting anything else.

@@ -25,10 +25,11 @@ use std::time::{Duration, Instant};
 
 use ayb_moo::{ShardError, ShardResults, ShardTransport};
 use ayb_obs::{kind as event_kind, Event, Recorder, Severity};
-use ayb_store::{ShardOutcome, ShardWork, ShardWorkKind};
 use serde::Value;
 
-use crate::wire::{read_frame, write_frame, NetShardTask, Request, Response};
+use crate::wire::{
+    read_frame, write_frame, Request, Response, ShardOutcome, ShardWork, ShardWorkKind, WorkerTask,
+};
 
 /// Per-call socket timeouts. Generous: a coordinator that takes longer than
 /// this per request is effectively down, and the caller's fallback path is
@@ -54,8 +55,12 @@ pub struct TransportStats {
 pub struct TcpTransport {
     /// Coordinator socket address, `host:port`.
     addr: String,
+    /// Identity of the submitting run's store, announced with `run_id`.
+    store: String,
     /// Run identifier announced when opening epochs.
     run_id: String,
+    /// Fencing token of the submitting flow's run claim.
+    fence: u64,
     /// Submitter context forwarded to workers (the run's flow config).
     context: Option<Value>,
     /// Fencing tokens of claims this client holds, per `(epoch, shard)`.
@@ -71,7 +76,9 @@ impl TcpTransport {
     pub fn connect(addr: impl Into<String>) -> TcpTransport {
         TcpTransport {
             addr: addr.into(),
+            store: String::new(),
             run_id: String::new(),
+            fence: 0,
             context: None,
             tokens: Arc::new(Mutex::new(HashMap::new())),
             stats: Arc::new(Mutex::new(TransportStats::default())),
@@ -94,12 +101,23 @@ impl TcpTransport {
         format!("tcp://{}", self.addr)
     }
 
-    /// Attaches the submitting run's identity and context (its serialized
-    /// flow configuration); both travel inside every subsequently opened
-    /// epoch so that workers can service its shards store-free.
+    /// Attaches the submitting run's identity — its store's identity, its
+    /// id and the fencing token of the run claim the flow holds — and
+    /// context (its serialized flow configuration); all travel inside every
+    /// subsequently opened epoch so that workers can service its shards
+    /// store-free, and so the coordinator can tell this executor's epochs
+    /// from a predecessor's (and from a same-named run of another store).
     #[must_use]
-    pub fn with_run_context(mut self, run_id: &str, context: Value) -> TcpTransport {
+    pub fn with_run_context(
+        mut self,
+        store: &str,
+        run_id: &str,
+        fence: u64,
+        context: Value,
+    ) -> TcpTransport {
+        self.store = store.to_string();
         self.run_id = run_id.to_string();
+        self.fence = fence;
         self.context = Some(context);
         self
     }
@@ -178,8 +196,8 @@ impl TcpTransport {
     }
 
     // ------------------------------------------------------------------
-    // Typed epoch API (mirrors `ShardDataPlane`'s; the variation stage and
-    // the `ShardTransport` impl below are both thin layers over these).
+    // Typed epoch API (the variation stage and the `ShardTransport` impl
+    // below are both thin layers over these).
     // ------------------------------------------------------------------
 
     /// Opens a typed epoch of `shard_count` shards.
@@ -194,12 +212,35 @@ impl TcpTransport {
         shard_count: usize,
     ) -> Result<String, ShardError> {
         match self.call(&Request::OpenEpoch {
+            store: self.store.clone(),
             kind,
             shard_count,
             run_id: self.run_id.clone(),
+            fence: self.fence,
             context: self.context.clone(),
         })? {
             Response::EpochOpened { epoch } => Ok(epoch),
+            other => Err(Self::unexpected(&other)),
+        }
+    }
+
+    /// Drops every epoch of this transport's run that was opened under a
+    /// lower run-claim token than its own — the leftovers of a crashed
+    /// predecessor — and returns how many there were. Only the current
+    /// claim holder may call this: a flow sends it right after taking the
+    /// run's claim, so workers never service a dead attempt's shards.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShardError::Transport`] when the coordinator is
+    /// unreachable.
+    pub fn close_run_epochs(&self) -> Result<usize, ShardError> {
+        match self.call(&Request::CloseRunEpochs {
+            store: self.store.clone(),
+            run_id: self.run_id.clone(),
+            fence: self.fence,
+        })? {
+            Response::RunEpochsClosed { closed } => Ok(closed),
             other => Err(Self::unexpected(&other)),
         }
     }
@@ -379,14 +420,14 @@ impl TcpTransport {
     /// Claims the next available shard of *any* open epoch for `owner`,
     /// returning the self-contained task (work + token + submitter context)
     /// or `None` when the coordinator has nothing to hand out. This is the
-    /// entry point `ayb serve --transport tcp://…` workers poll; note the
+    /// entry point every `ayb serve` worker polls; note the
     /// worker needs no access to the submitter's store.
     ///
     /// # Errors
     ///
     /// Returns [`ShardError::Transport`] when the coordinator is
     /// unreachable.
-    pub fn claim_next(&self, owner: &str) -> Result<Option<NetShardTask>, ShardError> {
+    pub fn claim_next(&self, owner: &str) -> Result<Option<WorkerTask>, ShardError> {
         match self.call(&Request::ClaimNext {
             owner: owner.to_string(),
         })? {
@@ -407,7 +448,7 @@ impl TcpTransport {
     /// already finished or abandoned it).
     pub fn submit_task(
         &self,
-        task: &NetShardTask,
+        task: &WorkerTask,
         outcome: &ShardOutcome,
     ) -> Result<bool, ShardError> {
         self.submit_with_token(&task.epoch, task.shard, task.token, outcome)
@@ -482,9 +523,7 @@ impl ShardTransport for TcpTransport {
             Some(ShardOutcome::Eval { results }) => Ok(Some(results)),
             // An outcome of the wrong shape is unusable; leave the shard
             // pending so it is (re-)evaluated instead.
-            Some(ShardOutcome::Variation(_) | ShardOutcome::VariationBatch { .. }) | None => {
-                Ok(None)
-            }
+            Some(ShardOutcome::VariationBatch { .. }) | None => Ok(None),
         }
     }
 
@@ -508,10 +547,10 @@ impl ShardTransport for TcpTransport {
     }
 }
 
-/// A guard refreshing one network claim's heartbeat every `interval` from a
-/// background thread, for as long as it lives — the network analogue of the
-/// store's `ClaimHeartbeat`. Job workers hold one while servicing a
-/// [`NetShardTask`] so a long evaluation is not mistaken for a hang.
+/// A guard refreshing one shard claim's heartbeat every `interval` from a
+/// background thread, for as long as it lives (the shard analogue of the
+/// store's run-claim `ClaimHeartbeat`). Job workers hold one while servicing a
+/// [`WorkerTask`] so a long evaluation is not mistaken for a hang.
 pub struct ClaimPulse {
     stop: Arc<(Mutex<bool>, Condvar)>,
     thread: Option<JoinHandle<()>>,
@@ -519,7 +558,7 @@ pub struct ClaimPulse {
 
 impl ClaimPulse {
     /// Starts heartbeating `task`'s claim through `transport`.
-    pub fn start(transport: TcpTransport, task: &NetShardTask, interval: Duration) -> ClaimPulse {
+    pub fn start(transport: TcpTransport, task: &WorkerTask, interval: Duration) -> ClaimPulse {
         let stop = Arc::new((Mutex::new(false), Condvar::new()));
         let thread_stop = Arc::clone(&stop);
         let (epoch, shard, token) = (task.epoch.clone(), task.shard, task.token);

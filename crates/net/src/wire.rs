@@ -2,9 +2,11 @@
 //! vocabulary.
 //!
 //! Every message is one *frame*: a 4-byte big-endian payload length followed
-//! by that many bytes of JSON — the same JSON the disk plane writes into
-//! task/result files, so a payload that round-trips through the store
-//! round-trips through the socket byte-for-byte. Clients speak
+//! by that many bytes of JSON (the vendored `serde_json`, whose shortest
+//! round-trip float formatting moves `f64` payloads byte-faithfully). The
+//! typed shard payloads — [`ShardWork`] out, [`ShardOutcome`] back — are
+//! defined here too: they are the whole contract between a submitting flow
+//! and the workers servicing it. Clients speak
 //! connect-per-request: open a connection, write one [`Request`] frame, read
 //! one [`Response`] frame, close. That keeps the coordinator's per-connection
 //! state trivial (a request is never torn across reconnects) and means a
@@ -14,8 +16,98 @@
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 
-use ayb_store::{ShardOutcome, ShardWork, ShardWorkKind};
+use ayb_moo::Evaluation;
 use serde::{Deserialize, Serialize, Value};
+
+/// The kind of work a shard (or a whole epoch) carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum ShardWorkKind {
+    /// GA population evaluation (one shard = a consecutive candidate range).
+    Eval,
+    /// Monte Carlo variation analysis (one shard = a batch of Pareto points).
+    Variation,
+}
+
+impl ShardWorkKind {
+    /// Human-readable kind name (`eval` / `variation`).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            ShardWorkKind::Eval => "eval",
+            ShardWorkKind::Variation => "variation",
+        }
+    }
+}
+
+/// Typed payload of one shard: what a claiming worker must do.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum ShardWork {
+    /// Evaluate a consecutive range of a GA population: normalised candidate
+    /// parameter vectors, in shard-local order.
+    Eval {
+        /// One parameter vector per candidate.
+        parameters: Vec<Vec<f64>>,
+    },
+    /// Run the Monte Carlo variation analysis of one or more Pareto points
+    /// (larger batches amortise claim/commit overhead without changing any
+    /// result — each point carries its own derived seed).
+    VariationBatch {
+        /// The points of this batch, in submitter order.
+        points: Vec<VariationPointWork>,
+    },
+}
+
+/// One point of a [`ShardWork::VariationBatch`] task.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct VariationPointWork {
+    /// The point's normalised parameter vector.
+    pub parameters: Vec<f64>,
+    /// The point's own Monte Carlo seed (derived by the submitter from the
+    /// flow's `monte_carlo.seed` and the point index, so any process
+    /// analysing this point draws the identical sample sequence).
+    pub mc_seed: u64,
+}
+
+impl ShardWork {
+    /// This payload's kind.
+    pub fn kind(&self) -> ShardWorkKind {
+        match self {
+            ShardWork::Eval { .. } => ShardWorkKind::Eval,
+            ShardWork::VariationBatch { .. } => ShardWorkKind::Variation,
+        }
+    }
+}
+
+/// Wire form of one analysed Pareto point.
+///
+/// The analysed data itself is carried as opaque JSON (`serde::Value`): the
+/// wire moves it between processes byte-faithfully without depending on the
+/// behavioural-model types that define it (`ayb_core` converts both ways).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct VariationOutcome {
+    /// The analysed point's variation data; `None` when the point could not
+    /// be re-simulated (a legitimate, deterministic result — not an error).
+    pub data: Option<Value>,
+    /// Wall-clock seconds the analysing process spent on this point, so the
+    /// submitter can account work done on other hosts.
+    pub elapsed_seconds: f64,
+}
+
+/// Typed output of one shard, mirroring [`ShardWork`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum ShardOutcome {
+    /// Evaluations of a population shard, one entry per candidate in
+    /// shard-local order (`None` marks an infeasible candidate).
+    Eval {
+        /// The candidate evaluations.
+        results: Vec<Option<Evaluation>>,
+    },
+    /// The analysed points of a [`ShardWork::VariationBatch`] task, in task
+    /// order (one entry per point of the batch).
+    VariationBatch {
+        /// The per-point outcomes.
+        points: Vec<VariationOutcome>,
+    },
+}
 
 /// Hard upper bound on one frame's JSON payload (16 MiB). A peer announcing
 /// a larger frame is malformed or hostile; the connection is dropped rather
@@ -86,8 +178,15 @@ pub enum Request {
         kind: ShardWorkKind,
         /// Number of shards the epoch starts with.
         shard_count: usize,
+        /// Identity of the store the run lives in. Run ids are unique only
+        /// within one store; the pair `(store, run_id)` names the run.
+        store: String,
         /// The submitting run's identifier (diagnostics, worker events).
         run_id: String,
+        /// The fencing token of the submitter's run claim. An open under a
+        /// token below one already presented by a [`Request::CloseRunEpochs`]
+        /// for the same run comes from a superseded executor and is refused.
+        fence: u64,
         /// Opaque submitter context forwarded to workers (the flow config).
         context: Option<Value>,
     },
@@ -153,6 +252,18 @@ pub enum Request {
         /// Epoch identifier.
         epoch: String,
     },
+    /// Sent by a flow that has just taken run `run_id`'s claim (fencing
+    /// token `fence`): drops every epoch of that run opened under a lower
+    /// token — debris of a crashed predecessor — and refuses later opens
+    /// under one, so workers never service a dead attempt's shards.
+    CloseRunEpochs {
+        /// Identity of the store the run lives in.
+        store: String,
+        /// The run whose stale epochs are dropped.
+        run_id: String,
+        /// The fencing token of the sender's run claim.
+        fence: u64,
+    },
     /// Worker entry point: atomically finds *any* open epoch with an
     /// unclaimed, unfinished shard, claims it for `owner`, and returns the
     /// work plus everything needed to service it store-free.
@@ -181,6 +292,7 @@ impl Request {
             Request::Fetch { .. } => "fetch",
             Request::Recover { .. } => "recover",
             Request::CloseEpoch { .. } => "close_epoch",
+            Request::CloseRunEpochs { .. } => "close_run_epochs",
             Request::ClaimNext { .. } => "claim_next",
             Request::Stats => "stats",
             Request::Metrics => "metrics",
@@ -221,10 +333,15 @@ pub enum Response {
         /// Whether a stale claim was expired.
         expired: bool,
     },
+    /// Outcome of a [`Request::CloseRunEpochs`].
+    RunEpochsClosed {
+        /// How many stale epochs were dropped.
+        closed: usize,
+    },
     /// Outcome of a [`Request::ClaimNext`].
     Task {
         /// The claimed work, or `None` when no shard is available.
-        task: Option<NetShardTask>,
+        task: Option<WorkerTask>,
     },
     /// Outcome of a [`Request::Stats`].
     Stats {
@@ -249,7 +366,7 @@ pub enum Response {
 /// heartbeat and submit under, and the submitter's context (its serialized
 /// flow configuration) — nothing else is needed to service the shard.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NetShardTask {
+pub struct WorkerTask {
     /// The submitting run's identifier.
     pub run_id: String,
     /// Epoch the shard belongs to.

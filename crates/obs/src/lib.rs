@@ -140,10 +140,6 @@ pub mod kind {
     pub const SHARD_DEGRADED: &str = "shard_degraded";
     /// One transport request completed; `value` is the latency in seconds.
     pub const SHARD_REQUEST: &str = "shard_request";
-    /// A shard epoch was opened; `value` is the shard count.
-    pub const EPOCH_OPEN: &str = "epoch_open";
-    /// A shard epoch was closed.
-    pub const EPOCH_CLOSE: &str = "epoch_close";
     /// A job-server lifecycle event (`job_enqueued`, `job_started`, …);
     /// see `ayb_jobs` for the mapping from `JobEvent`.
     pub const JOB_PREFIX: &str = "job_";

@@ -18,14 +18,16 @@ pub const LATENCY_BUCKETS_SECONDS: &[f64] = &[
 ];
 
 /// A fixed-bucket histogram: cumulative-style buckets, a running sum and a
-/// count. Observations above the last bound land in an implicit overflow
-/// bucket.
+/// count, plus the smallest and largest observation. Observations above the
+/// last bound land in an implicit overflow bucket.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     bounds: Vec<f64>,
     counts: Vec<u64>,
     count: u64,
     sum: f64,
+    min: f64,
+    max: f64,
 }
 
 impl Histogram {
@@ -37,6 +39,8 @@ impl Histogram {
             counts: vec![0; bounds.len() + 1],
             count: 0,
             sum: 0.0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
         }
     }
 
@@ -50,6 +54,8 @@ impl Histogram {
         self.counts[index] += 1;
         self.count += 1;
         self.sum += value;
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
     }
 
     /// Total number of observations.
@@ -71,23 +77,36 @@ impl Histogram {
         }
     }
 
-    /// An upper-bound estimate of the `q`-quantile (`0.0 ≤ q ≤ 1.0`):
-    /// the upper bound of the first bucket whose cumulative count reaches
-    /// `q × count`. Returns `None` when empty, and `f64::INFINITY` when the
-    /// quantile lands in the overflow bucket.
+    /// An estimate of the `q`-quantile (`0.0 ≤ q ≤ 1.0`): finds the bucket
+    /// holding rank `q × count` and interpolates linearly between its edges,
+    /// with the observed minimum and maximum standing in for the outer
+    /// edges — so the estimate never leaves the observed range (the overflow
+    /// bucket ends at the largest observation). Returns `None` when empty.
     pub fn quantile(&self, q: f64) -> Option<f64> {
         if self.count == 0 {
             return None;
         }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut cumulative = 0u64;
-        for (index, bucket) in self.counts.iter().enumerate() {
-            cumulative += bucket;
-            if cumulative >= target {
-                return Some(self.bounds.get(index).copied().unwrap_or(f64::INFINITY));
+        let target = q.clamp(0.0, 1.0) * self.count as f64;
+        let mut below = 0u64;
+        for (index, &in_bucket) in self.counts.iter().enumerate() {
+            if in_bucket == 0 {
+                continue;
             }
+            if (below + in_bucket) as f64 >= target {
+                let lower = match index {
+                    0 => self.min,
+                    _ => self.bounds[index - 1].max(self.min),
+                };
+                let upper = self
+                    .bounds
+                    .get(index)
+                    .map_or(self.max, |bound| bound.min(self.max));
+                let fraction = (target - below as f64) / in_bucket as f64;
+                return Some(lower + (upper - lower) * fraction.clamp(0.0, 1.0));
+            }
+            below += in_bucket;
         }
-        Some(f64::INFINITY)
+        Some(self.max)
     }
 
     /// The bucket upper bounds this histogram was built with.
@@ -279,9 +298,24 @@ mod tests {
         assert_eq!(histogram.count(), 5);
         assert_eq!(histogram.bucket_counts(), &[2, 1, 1, 1]);
         assert!((histogram.sum() - 5.56).abs() < 1e-9);
-        assert_eq!(histogram.quantile(0.5), Some(0.1));
-        assert_eq!(histogram.quantile(0.0), Some(0.01));
-        assert_eq!(histogram.quantile(1.0), Some(f64::INFINITY));
+        let close = |q: f64, expected: f64| {
+            let got = histogram.quantile(q).unwrap();
+            assert!((got - expected).abs() < 1e-12, "q{q}: {got} != {expected}");
+        };
+        // Rank 2.5 of 5 is half-way through the (0.01, 0.1] bucket.
+        close(0.5, 0.055);
+        // Rank 1 is half-way through the first bucket, whose lower edge is
+        // the smallest observation.
+        close(0.2, 0.0075);
+        close(0.0, 0.005);
+        // The overflow bucket ends at the largest observation.
+        close(0.9, 3.0);
+        close(1.0, 5.0);
+        // Estimates are capped at the largest observation, never a bound.
+        let mut capped = Histogram::with_bounds(&[1.0]);
+        capped.observe(0.2);
+        capped.observe(0.4);
+        assert_eq!(capped.quantile(1.0), Some(0.4));
         assert_eq!(Histogram::with_bounds(&[1.0]).quantile(0.5), None);
     }
 

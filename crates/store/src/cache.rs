@@ -30,7 +30,7 @@
 //! atomic rename, so any read observes a complete, consistent snapshot.
 //! Writers serialise through `digest_index.lock` (created with
 //! `create_new`, retried briefly, and broken when older than
-//! [`LOCK_STALE_AFTER`] so a crashed writer cannot wedge the cache). The
+//! `LOCK_STALE_AFTER` so a crashed writer cannot wedge the cache). The
 //! result blob is fully written *before* the index entry appears, so an
 //! indexed digest always has a readable result.
 

@@ -50,14 +50,17 @@
 //! (stale heartbeat) — including holders on *other machines*, whose pids
 //! cannot be probed ([`RunHandle::claim_health`], [`ClaimHealth`]).
 //!
-//! ## Sharded evaluation (the data plane)
+//! ## The advertised shard coordinator
 //!
-//! Queued runs distribute whole flows; the [`shards`] module additionally
-//! distributes the *evaluation work inside one run*: a sharded flow
-//! publishes each optimiser population as claimable shard tasks under
-//! `runs/<id>/shards/`, and any number of worker processes — on this or
-//! other machines sharing the store — evaluate them
-//! ([`ShardDataPlane`], [`ShardTask`], [`Store::open_shard_tasks`]).
+//! Queued runs distribute whole flows; the work *inside* one sharded run
+//! travels through a TCP shard coordinator (the `ayb_net` crate), never
+//! through the store. A job server that hosts a coordinator advertises its
+//! URL in `<root>/coordinator.json` ([`Store::advertise_coordinator`]), so a
+//! sharded flow started against the same store finds it
+//! ([`Store::advertised_coordinator`]) without any flag; the server
+//! withdraws the advertisement on shutdown, compare-and-delete
+//! ([`Store::withdraw_coordinator`]). A coordinator several stores share
+//! names each run by its store's [`Store::identity`] and its run id.
 //!
 //! The flow layer (`ayb_core::FlowBuilder::with_store` / `resume`), the job
 //! server (`ayb_jobs::JobServer`) and the `ayb` CLI (`run` / `resume` /
@@ -89,13 +92,8 @@
 #![warn(rust_2018_idioms)]
 
 pub mod cache;
-pub mod shards;
 
 pub use cache::{CacheEntry, CacheGcReport, ResultCache};
-pub use shards::{
-    ShardDataPlane, ShardOutcome, ShardSummary, ShardTask, ShardWork, ShardWorkKind,
-    VariationOutcome, VariationPointWork,
-};
 
 use ayb_moo::{Checkpoint, OptimizerConfig};
 use serde::{Deserialize, Serialize, Value};
@@ -220,9 +218,8 @@ fn unique_write_token() -> String {
 /// Writes `text` to `path` atomically (temp file in the same directory,
 /// then rename), so concurrent readers and crashes never observe a torn
 /// file. The temp name is unique per writer ([`unique_write_token`]), so
-/// even two processes writing the *same* target concurrently — e.g. a
-/// recovered shard re-evaluated while its slow original worker finishes —
-/// each rename a complete file (last one wins, both readable).
+/// even two processes writing the *same* target concurrently each rename a
+/// complete file (last one wins, both readable).
 fn write_atomic(path: &Path, text: &str) -> Result<(), StoreError> {
     let mut tmp = path.as_os_str().to_os_string();
     tmp.push(format!(".{}.tmp", unique_write_token()));
@@ -246,7 +243,7 @@ fn write_json<T: Serialize + ?Sized>(path: &Path, value: &T) -> Result<(), Store
 }
 
 // ---------------------------------------------------------------------------
-// Claim machinery (shared by run claims and shard claims)
+// Claim machinery
 // ---------------------------------------------------------------------------
 
 /// Atomically takes the claim lock file at `path` (scratch files staged in
@@ -894,7 +891,93 @@ impl Store {
         }
         Ok(removed)
     }
+
+    /// This store's identity: a random token minted by the first caller and
+    /// kept in `<root>/store-id` from then on. Run ids are unique only
+    /// within one store, so a shard coordinator that several stores share
+    /// names each run by this token and its run id.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError::Io`] when the identity file can be neither read
+    /// nor created.
+    pub fn identity(&self) -> Result<String, StoreError> {
+        use std::hash::{BuildHasher, Hasher};
+        let path = self.root.join(IDENTITY_FILE);
+        if let Ok(id) = fs::read_to_string(&path) {
+            return Ok(id);
+        }
+        // `RandomState` keys come from the OS's randomness source.
+        let mut hasher = std::collections::hash_map::RandomState::new().build_hasher();
+        hasher.write(unique_write_token().as_bytes());
+        let id = format!("{:016x}", hasher.finish());
+        // Stage and hard-link, as claims do: the file appears complete or
+        // not at all, and a concurrent first caller's token is never
+        // replaced — whoever loses the link adopts the winner's.
+        let tmp = self.root.join(format!(".store-id-{id}.tmp"));
+        fs::write(&tmp, &id).map_err(|e| io_error(&tmp, e))?;
+        let linked = fs::hard_link(&tmp, &path);
+        let _ = fs::remove_file(&tmp);
+        match linked {
+            Ok(()) => Ok(id),
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
+                fs::read_to_string(&path).map_err(|e| io_error(&path, e))
+            }
+            Err(e) => Err(io_error(&path, e)),
+        }
+    }
+
+    fn coordinator_file(&self) -> PathBuf {
+        self.root.join(COORDINATOR_FILE)
+    }
+
+    /// Advertises `url` (`tcp://host:port`) as the shard coordinator serving
+    /// this store, replacing any previous advertisement. The write is
+    /// atomic, so readers see the old URL or the new one, never a torn file.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError::Io`] when the file cannot be written.
+    pub fn advertise_coordinator(&self, url: &str) -> Result<(), StoreError> {
+        let ad = Value::Object(vec![("url".to_string(), Value::Str(url.to_string()))]);
+        write_json(&self.coordinator_file(), &ad)
+    }
+
+    /// The advertised coordinator URL, if any (an unreadable or malformed
+    /// advertisement counts as none). Whether anything still answers there
+    /// is the reader's question: a server killed without a shutdown leaves
+    /// its advertisement behind.
+    pub fn advertised_coordinator(&self) -> Option<String> {
+        let ad: Value = read_json(&self.coordinator_file()).ok()?;
+        String::from_value(ad.get("url")?).ok()
+    }
+
+    /// Removes the advertisement, but only while it still names `url` —
+    /// compare-and-delete, so a server shutting down never withdraws a
+    /// successor's advertisement. Returns whether it removed the file.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError::Io`] when the matching file cannot be removed.
+    pub fn withdraw_coordinator(&self, url: &str) -> Result<bool, StoreError> {
+        if self.advertised_coordinator().as_deref() != Some(url) {
+            return Ok(false);
+        }
+        let path = self.coordinator_file();
+        match fs::remove_file(&path) {
+            Ok(()) => Ok(true),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(false),
+            Err(e) => Err(io_error(&path, e)),
+        }
+    }
 }
+
+/// File under the store root holding its identity (see [`Store::identity`]).
+const IDENTITY_FILE: &str = "store-id";
+
+/// File under the store root naming the shard coordinator a job server
+/// hosts for this store (see [`Store::advertise_coordinator`]).
+const COORDINATOR_FILE: &str = "coordinator.json";
 
 /// Claim-machinery scratch files (`.claim-*.tmp` staging for `try_claim`,
 /// `claim.breaking-*` staging for `break_claim`) are never swept younger
@@ -1753,6 +1836,75 @@ mod tests {
             stall_generations: 0,
             senses: vec![Sense::Maximize, Sense::Maximize],
         }
+    }
+
+    #[test]
+    fn variation_checkpoints_roundtrip_and_sweep() {
+        let (root, store) = temp_store();
+        let run = store.create_run(7, &optimizer(), &fake_flow()).unwrap();
+        assert!(run.variation_checkpoint_indices().unwrap().is_empty());
+
+        // Record types are the caller's own; the store is agnostic.
+        run.save_variation_checkpoint(7, &vec![1.5f64, 2.5])
+            .unwrap();
+        run.save_variation_checkpoint(2, &vec![0.5f64]).unwrap();
+        assert_eq!(run.variation_checkpoint_indices().unwrap(), vec![2, 7]);
+        let restored: Vec<f64> = run.load_variation_checkpoint(7).unwrap();
+        assert_eq!(restored, vec![1.5, 2.5]);
+
+        // Generation checkpoints and variation checkpoints never collide.
+        assert!(run.checkpoint_generations().unwrap().is_empty());
+
+        assert_eq!(run.sweep_variation_checkpoints().unwrap(), 2);
+        assert!(run.variation_checkpoint_indices().unwrap().is_empty());
+        assert_eq!(run.sweep_variation_checkpoints().unwrap(), 0);
+        let _ = fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn store_identity_is_minted_once_and_distinct_per_store() {
+        let (root, store) = temp_store();
+        // Concurrent first callers all adopt one token.
+        let ids: Vec<String> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| scope.spawn(|| Store::open(&root).unwrap().identity().unwrap()))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(!ids[0].is_empty());
+        assert!(ids.iter().all(|id| id == &ids[0]), "{ids:?}");
+        assert_eq!(store.identity().unwrap(), ids[0], "kept across opens");
+
+        let (other_root, other) = temp_store();
+        assert_ne!(other.identity().unwrap(), ids[0]);
+        let _ = fs::remove_dir_all(root);
+        let _ = fs::remove_dir_all(other_root);
+    }
+
+    #[test]
+    fn coordinator_advertisement_is_compare_and_delete() {
+        let (root, store) = temp_store();
+        assert_eq!(store.advertised_coordinator(), None);
+        store.advertise_coordinator("tcp://127.0.0.1:4001").unwrap();
+        assert_eq!(
+            store.advertised_coordinator().as_deref(),
+            Some("tcp://127.0.0.1:4001")
+        );
+        // A second server takes over the advertisement; the first one's
+        // shutdown must leave it alone.
+        store.advertise_coordinator("tcp://127.0.0.1:4002").unwrap();
+        assert!(!store.withdraw_coordinator("tcp://127.0.0.1:4001").unwrap());
+        assert_eq!(
+            store.advertised_coordinator().as_deref(),
+            Some("tcp://127.0.0.1:4002")
+        );
+        assert!(store.withdraw_coordinator("tcp://127.0.0.1:4002").unwrap());
+        assert_eq!(store.advertised_coordinator(), None);
+        assert!(!store.withdraw_coordinator("tcp://127.0.0.1:4002").unwrap());
+        // A torn or foreign file is no advertisement.
+        fs::write(root.join(COORDINATOR_FILE), "{not json").unwrap();
+        assert_eq!(store.advertised_coordinator(), None);
+        let _ = fs::remove_dir_all(root);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!          --scale reduced --out LOAD.json
 //! ```
 
-use ayb_obs::{Histogram, LATENCY_BUCKETS_SECONDS};
+use ayb_process::quantile;
 use ayb_svc::SvcClient;
 use serde::{Serialize, Value};
 use std::collections::BTreeMap;
@@ -169,11 +169,10 @@ fn run_client(args: &LoadArgs, client_index: usize) -> ClientStats {
     stats
 }
 
-fn quantile_ms(histogram: Option<&Histogram>, q: f64) -> f64 {
-    histogram
-        .and_then(|h| h.quantile(q))
-        .map(|seconds| seconds * 1e3)
-        .unwrap_or(0.0)
+/// The exact `q`-quantile of the measured latencies, in milliseconds
+/// (linear interpolation between order statistics; 0 when none).
+fn quantile_ms(latencies: &[f64], q: f64) -> f64 {
+    quantile(latencies, q).map_or(0.0, |seconds| seconds * 1e3)
 }
 
 fn main() -> ExitCode {
@@ -203,20 +202,17 @@ fn main() -> ExitCode {
     let mut by_status: BTreeMap<u16, u64> = BTreeMap::new();
     let mut dedup_hits = 0u64;
     let mut transport_errors = 0u64;
-    let mut histogram = Histogram::with_bounds(LATENCY_BUCKETS_SECONDS);
-    let mut max_latency = 0.0f64;
+    let mut latencies: Vec<f64> = Vec::new();
     for stats in merged.into_inner().expect("stats lock") {
         for (status, count) in stats.by_status {
             *by_status.entry(status).or_default() += count;
         }
         dedup_hits += stats.dedup_hits;
         transport_errors += stats.transport_errors;
-        for latency in stats.latencies {
-            histogram.observe(latency);
-            max_latency = max_latency.max(latency);
-        }
+        latencies.extend(stats.latencies);
     }
-    let total_requests = histogram.count();
+    let total_requests = latencies.len() as u64;
+    let mean_latency = latencies.iter().sum::<f64>() / latencies.len().max(1) as f64;
     let server_errors: u64 = by_status
         .iter()
         .filter(|(status, _)| **status >= 500)
@@ -256,20 +252,11 @@ fn main() -> ExitCode {
         (
             "latency_ms".to_string(),
             Value::Object(vec![
-                (
-                    "p50".to_string(),
-                    quantile_ms(Some(&histogram), 0.50).to_value(),
-                ),
-                (
-                    "p95".to_string(),
-                    quantile_ms(Some(&histogram), 0.95).to_value(),
-                ),
-                (
-                    "p99".to_string(),
-                    quantile_ms(Some(&histogram), 0.99).to_value(),
-                ),
-                ("mean".to_string(), (histogram.mean() * 1e3).to_value()),
-                ("max".to_string(), (max_latency * 1e3).to_value()),
+                ("p50".to_string(), quantile_ms(&latencies, 0.50).to_value()),
+                ("p95".to_string(), quantile_ms(&latencies, 0.95).to_value()),
+                ("p99".to_string(), quantile_ms(&latencies, 0.99).to_value()),
+                ("mean".to_string(), (mean_latency * 1e3).to_value()),
+                ("max".to_string(), quantile_ms(&latencies, 1.0).to_value()),
             ]),
         ),
         (

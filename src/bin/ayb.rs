@@ -51,12 +51,17 @@
 //! embedded worker pool dispatches weighted round-robin across tenants
 //! instead of global FIFO. The `ayb-load` binary drives it for scale tests.
 //!
-//! `ayb coordinate` runs the network shard coordinator (the `ayb_net`
-//! crate): a sharded flow submitted with `--transport tcp://HOST:PORT`
-//! publishes its shards to the coordinator instead of the store's on-disk
-//! plane, and any `ayb serve --transport tcp://HOST:PORT` worker — on any
-//! machine, with any (even empty) local store — services them. Coordinator,
-//! submitter and workers need no shared filesystem.
+//! Sharded runs (`--sharded`) publish their shards to a TCP shard
+//! coordinator (the `ayb_net` crate). `ayb serve` joins the one advertised
+//! in the store (`<store>/coordinator.json`), or hosts and advertises one
+//! when none answers, so `ayb run --sharded` against the same store uses
+//! it — and evaluates
+//! in-process, with one degradation notice, when nothing answers there.
+//! `ayb coordinate` runs a standalone coordinator: a flow submitted with
+//! `--transport tcp://HOST:PORT` publishes there, and any
+//! `ayb serve --transport tcp://HOST:PORT` worker — on any machine, with any
+//! (even empty) local store — services it. Coordinator, submitter and
+//! workers need no shared filesystem.
 //!
 //! Every durable run also appends structured telemetry to
 //! `runs/<run_id>/events.jsonl` (the `ayb_obs` event layer). `ayb trace`
@@ -119,14 +124,16 @@ OPTIONS:
     --early-stop K        Stop after K generations without front improvement
     --solver S            Linear-solver backend for the sim kernel: dense
                           (default) or sparse; recorded in the run manifest
-    --sharded             Evaluate populations through the store's shard data
-                          plane (any `ayb serve` process sharing the store helps)
+    --sharded             Distribute evaluation and variation shards through a
+                          coordinator: the one `ayb serve` advertises in the
+                          store (in-process when none answers), or --transport
     --shard-size N        Candidates per shard (default: scale-dependent)
     --variation-batch N   Monte Carlo points per variation shard task
                           (default: scale-dependent; digest-neutral)
     --transport URL       tcp://HOST:PORT of an `ayb coordinate` process: run
                           and submit publish their shards there (no shared
-                          filesystem needed); serve also services them
+                          filesystem needed); serve services it instead of
+                          the store's coordinator
     --bind ADDR           coordinate: address to listen on (default
                           127.0.0.1:4710; port 0 picks an ephemeral port);
                           serve-http: likewise (default 127.0.0.1:4780)
@@ -142,8 +149,8 @@ OPTIONS:
     --halt-after N        Interrupt the run after N checkpoints (simulated crash)
     --workers N           Job-server worker threads (default 2)
     --drain               Serve until the queue is empty, then exit
-    --shards-only         Never claim whole runs; only service shard
-                          evaluation tasks (pure evaluation worker)
+    --shards-only         Never claim whole runs; only service shard tasks
+                          (pure evaluation worker)
     --poll-ms MS          Queue poll interval in milliseconds (default 200)
     --watch SECS          top: refresh the fleet view every SECS seconds
     --keep-checkpoints K  gc: checkpoints to keep per completed run (default 1)
@@ -381,6 +388,14 @@ impl FlowObserver for CliObserver {
             &Event::new(Severity::Info, "cli", event_kind::CHECKPOINT)
                 .value(generation as f64)
                 .detail(format!("checkpoint written for generation {generation}")),
+        );
+    }
+
+    fn on_transport_degraded(&mut self, stage: FlowStage, shard: usize, detail: &str) {
+        log_to_stderr(
+            &Event::new(Severity::Warn, "cli", event_kind::SHARD_DEGRADED)
+                .shard(shard as u64)
+                .detail(format!("transport degraded in {}: {detail}", stage.name())),
         );
     }
 }
@@ -718,19 +733,18 @@ fn cmd_status(args: &CliArgs) -> Result<(), String> {
     }
     let mut counts: Vec<(&'static str, usize)> = Vec::new();
     println!(
-        "{:<16} {:<12} {:<26} {:>12} {:>12}",
-        "RUN", "STATUS", "CLAIM", "CHECKPOINTS", "SHARDS"
+        "{:<16} {:<12} {:<26} {:>12}",
+        "RUN", "STATUS", "CLAIM", "CHECKPOINTS"
     );
     for id in &ids {
         let row = store.run(id).and_then(|handle| {
             let status = handle.status()?;
             let claim = handle.claim_health(CLAIM_HEALTH_MAX_HEARTBEAT_AGE)?;
             let checkpoints = handle.checkpoint_generations()?.len();
-            let shards = handle.shard_summary()?;
-            Ok((status, claim, checkpoints, shards))
+            Ok((status, claim, checkpoints))
         });
         match row {
-            Ok((status, claim, checkpoints, shards)) => {
+            Ok((status, claim, checkpoints)) => {
                 match counts.iter_mut().find(|(name, _)| *name == status.as_str()) {
                     Some((_, count)) => *count += 1,
                     None => counts.push((status.as_str(), 1)),
@@ -741,20 +755,8 @@ fn cmd_status(args: &CliArgs) -> Result<(), String> {
                     }
                     None => "-".to_string(),
                 };
-                let shards = if shards.tasks > 0 {
-                    // Label what stage the open shard work belongs to: the
-                    // stages are sequential, so open epochs are all one kind.
-                    let kind = if shards.variation_epochs > 0 {
-                        " var"
-                    } else {
-                        " eval"
-                    };
-                    format!("{}/{}{kind}", shards.completed, shards.tasks)
-                } else {
-                    "-".to_string()
-                };
                 println!(
-                    "{id:<16} {:<12} {claim:<26} {checkpoints:>12} {shards:>12}",
+                    "{id:<16} {:<12} {claim:<26} {checkpoints:>12}",
                     status.as_str()
                 );
             }
@@ -801,20 +803,6 @@ fn status_of_run(store: &Store, id: &str) -> Result<(), String> {
     }
     let checkpoints = handle.checkpoint_generations().map_err(|e| e.to_string())?;
     println!("checkpoints: {}", checkpoints.len());
-    let shards = handle.shard_summary().map_err(|e| e.to_string())?;
-    if shards.tasks > 0 {
-        let stage = if shards.variation_epochs > 0 {
-            "variation"
-        } else {
-            "evaluation"
-        };
-        println!(
-            "shards: {}/{} {stage} done ({} claimed, {} epochs open)",
-            shards.completed, shards.tasks, shards.claimed, shards.epochs
-        );
-    } else {
-        println!("shards: none open");
-    }
     let variation = handle
         .variation_checkpoint_indices()
         .map_err(|e| e.to_string())?;
@@ -848,12 +836,10 @@ fn status_of_run(store: &Store, id: &str) -> Result<(), String> {
         use serde::Deserialize;
         if let Ok(report) = ayb_core::TransportReport::from_value(&value) {
             println!("transport: {}", report.transport);
-            if report.requests > 0 {
-                println!(
-                    "transport_requests: {} ({:.2}s round-trip)",
-                    report.requests, report.request_seconds
-                );
-            }
+            println!(
+                "shard_requests: {} ({:.2}s round-trip)",
+                report.requests, report.request_seconds
+            );
             if report.fenced_rejections > 0 {
                 println!("transport_fenced_writes: {}", report.fenced_rejections);
             }
@@ -965,7 +951,7 @@ fn cmd_trace(args: &CliArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// One `ayb top` refresh: every run's status/claim/shard row from the store,
+/// One `ayb top` refresh: every run's status/claim/checkpoint row from the store,
 /// plus — when `--transport` points at a live coordinator — its counters and
 /// full metrics text (the same text the `Metrics` wire request serves).
 fn top_once(store: &Store, transport: Option<&str>) -> Result<(), String> {
@@ -1006,35 +992,29 @@ fn top_once(store: &Store, transport: Option<&str>) -> Result<(), String> {
         return Ok(());
     }
     println!(
-        "{:<16} {:<12} {:<26} {:>12} {:>12} {:>8}",
-        "RUN", "STATUS", "CLAIM", "CHECKPOINTS", "SHARDS", "EVENTS"
+        "{:<16} {:<12} {:<26} {:>12} {:>8}",
+        "RUN", "STATUS", "CLAIM", "CHECKPOINTS", "EVENTS"
     );
     for id in &ids {
         let row = store.run(id).and_then(|handle| {
             let status = handle.status()?;
             let claim = handle.claim_health(CLAIM_HEALTH_MAX_HEARTBEAT_AGE)?;
             let checkpoints = handle.checkpoint_generations()?.len();
-            let shards = handle.shard_summary()?;
             let events = std::fs::read_to_string(handle.events_path())
                 .map(|text| text.lines().count())
                 .unwrap_or(0);
-            Ok((status, claim, checkpoints, shards, events))
+            Ok((status, claim, checkpoints, events))
         });
         match row {
-            Ok((status, claim, checkpoints, shards, events)) => {
+            Ok((status, claim, checkpoints, events)) => {
                 let claim = match claim {
                     Some((claim, health)) => {
                         format!("{} ({})", claim.owner, render_claim_health(health))
                     }
                     None => "-".to_string(),
                 };
-                let shards = if shards.tasks > 0 {
-                    format!("{}/{}", shards.completed, shards.tasks)
-                } else {
-                    "-".to_string()
-                };
                 println!(
-                    "{id:<16} {:<12} {claim:<26} {checkpoints:>12} {shards:>12} {events:>8}",
+                    "{id:<16} {:<12} {claim:<26} {checkpoints:>12} {events:>8}",
                     status.as_str()
                 );
             }
@@ -1044,8 +1024,8 @@ fn top_once(store: &Store, transport: Option<&str>) -> Result<(), String> {
     Ok(())
 }
 
-/// Live fleet view: the store's runs (with claim health and shard progress)
-/// and, with `--transport`, the coordinator's scraped metrics. `--watch S`
+/// Live fleet view: the store's runs (with claim health and checkpoint
+/// progress) and, with `--transport`, the coordinator's scraped metrics. `--watch S`
 /// refreshes every `S` seconds until interrupted.
 fn cmd_top(args: &CliArgs) -> Result<(), String> {
     if !args.positional.is_empty() {
@@ -1082,7 +1062,6 @@ fn cmd_gc(args: &CliArgs) -> Result<(), String> {
     let swept = store.sweep_tmp_files(min_age).map_err(|e| e.to_string())?;
     let mut pruned = 0usize;
     let mut pruned_runs = 0usize;
-    let mut shard_epochs = 0usize;
     for id in store.run_ids().map_err(|e| e.to_string())? {
         let Ok(handle) = store.run(&id) else { continue };
         // Only completed runs are pruned; anything still resumable keeps
@@ -1100,15 +1079,11 @@ fn cmd_gc(args: &CliArgs) -> Result<(), String> {
             pruned += removed.len() + variation;
             pruned_runs += 1;
         }
-        // Shard epochs of a completed run are dead weight: the submitting
-        // flow assembled (or abandoned) every batch long ago.
-        shard_epochs += handle.sweep_shards().map_err(|e| e.to_string())?;
     }
     println!("tmp_files_removed: {}", swept.len());
     println!(
         "checkpoints_pruned: {pruned} (across {pruned_runs} completed runs, keeping last {keep})"
     );
-    println!("shard_epochs_swept: {shard_epochs}");
     Ok(())
 }
 

@@ -15,16 +15,21 @@
 //! tests assert the invariant everything else rests on: **every schedule
 //! converges to the same `determinism_digest`** as the clean serial run.
 //! Schedules are derived from seeds ([`schedule_from_seed`]), so failures
-//! reproduce exactly; future PRs can reuse the harness by composing new
-//! [`KillPoint`]s.
+//! reproduce exactly; the harness composes with new [`KillPoint`]s.
+//!
+//! Every sharded schedule runs over a TCP coordinator, and a completed run
+//! leaves no epoch of its own behind there: each resumed attempt drops its
+//! crashed predecessor's epochs as soon as it holds the run's claim.
 
 use ayb_core::{
     AybError, FlowBuilder, FlowConfig, FlowResult, VariationBoundary, VariationHaltHook,
 };
 use ayb_moo::CheckpointError;
-use ayb_net::{Coordinator, CoordinatorConfig, TcpTransport};
+use ayb_net::{
+    Coordinator, CoordinatorConfig, ShardOutcome, ShardWork, TcpTransport, VariationOutcome,
+};
 use ayb_obs::{kind as event_kind, trace, JsonlSink, Recorder};
-use ayb_store::{RunStatus, ShardOutcome, ShardSummary, Store, VariationOutcome};
+use ayb_store::{RunStatus, Store};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
@@ -162,7 +167,8 @@ fn temp_store(label: &str) -> (PathBuf, Store) {
     (root, store)
 }
 
-/// A small sharded configuration whose wall clock is split between the
+/// A small sharded configuration (without a coordinator: see
+/// [`tcp_config`]) whose wall clock is split between the
 /// optimisation (4 generations) and the variation stage (8 points), so both
 /// families of kill-points land in live code. Variation points travel in
 /// batches of 3 (8 points → batches of 3, 3 and 2), so result-write
@@ -181,6 +187,18 @@ fn chaos_config() -> FlowConfig {
 }
 
 const CHAOS_SEED: u64 = 2008;
+
+fn coordinator() -> Coordinator {
+    Coordinator::bind("127.0.0.1:0", CoordinatorConfig::default())
+        .expect("coordinator binds an ephemeral port")
+}
+
+/// The chaos configuration pointed at a coordinator.
+fn tcp_config(url: &str) -> FlowConfig {
+    let mut config = chaos_config();
+    config.transport = Some(url.to_string());
+    config
+}
 
 fn reference_digest() -> u64 {
     let mut serial = chaos_config();
@@ -213,21 +231,24 @@ fn explicit_crash_schedules_converge_to_the_reference_digest() {
             KillPoint::AtVariationBoundary(BoundaryKind::EpochClose, 1),
         ],
     ];
+    let coordinator = coordinator();
     for (index, schedule) in schedules.iter().enumerate() {
         let (root, store) = temp_store("explicit");
         let run_id = format!("chaos-{index}");
-        let result = run_with_chaos(&store, &run_id, &chaos_config(), CHAOS_SEED, schedule);
+        let config = tcp_config(&coordinator.url());
+        let result = run_with_chaos(&store, &run_id, &config, CHAOS_SEED, schedule);
         assert_eq!(
             result.determinism_digest(),
             expected,
             "schedule {schedule:?} perturbed the result"
         );
+        assert!(result.timings.shard_requests > 0, "the wire was used");
         let handle = store.run(&run_id).unwrap();
         assert_eq!(handle.status().unwrap(), RunStatus::Completed);
         assert_eq!(
-            handle.shard_summary().unwrap(),
-            ShardSummary::default(),
-            "no shard debris survives schedule {schedule:?}"
+            coordinator.stats().epochs,
+            0,
+            "the coordinator holds no epoch of the run after schedule {schedule:?}"
         );
         let _ = std::fs::remove_dir_all(root);
     }
@@ -254,21 +275,24 @@ fn crashes_inside_a_variation_batch_converge_to_the_reference_digest() {
             KillPoint::AtVariationBoundary(BoundaryKind::ResultWrite, 5),
         ],
     ];
+    let coordinator = coordinator();
     for (index, schedule) in schedules.iter().enumerate() {
         let (root, store) = temp_store("mid-batch");
         let run_id = format!("chaos-batch-{index}");
-        let result = run_with_chaos(&store, &run_id, &chaos_config(), CHAOS_SEED, schedule);
+        let config = tcp_config(&coordinator.url());
+        let result = run_with_chaos(&store, &run_id, &config, CHAOS_SEED, schedule);
         assert_eq!(
             result.determinism_digest(),
             expected,
             "mid-batch schedule {schedule:?} perturbed the result"
         );
+        assert!(result.timings.shard_requests > 0, "the wire was used");
         let handle = store.run(&run_id).unwrap();
         assert_eq!(handle.status().unwrap(), RunStatus::Completed);
         assert_eq!(
-            handle.shard_summary().unwrap(),
-            ShardSummary::default(),
-            "no shard debris survives mid-batch schedule {schedule:?}"
+            coordinator.stats().epochs,
+            0,
+            "the coordinator holds no epoch of the run after mid-batch schedule {schedule:?}"
         );
         let _ = std::fs::remove_dir_all(root);
     }
@@ -280,15 +304,23 @@ fn crashes_inside_a_variation_batch_converge_to_the_reference_digest() {
 #[test]
 fn seeded_crash_schedules_converge_to_the_reference_digest() {
     let expected = reference_digest();
+    let coordinator = coordinator();
     for schedule_seed in 0..6u64 {
         let schedule = schedule_from_seed(schedule_seed);
         let (root, store) = temp_store("seeded");
         let run_id = format!("chaos-seed-{schedule_seed}");
-        let result = run_with_chaos(&store, &run_id, &chaos_config(), CHAOS_SEED, &schedule);
+        let config = tcp_config(&coordinator.url());
+        let result = run_with_chaos(&store, &run_id, &config, CHAOS_SEED, &schedule);
         assert_eq!(
             result.determinism_digest(),
             expected,
             "seeded schedule {schedule_seed} ({schedule:?}) perturbed the result"
+        );
+        assert!(result.timings.shard_requests > 0, "the wire was used");
+        assert_eq!(
+            coordinator.stats().epochs,
+            0,
+            "the coordinator holds no epoch of the run after seeded schedule {schedule_seed}"
         );
         let _ = std::fs::remove_dir_all(root);
     }
@@ -310,26 +342,102 @@ fn schedules_are_reproducible_from_their_seed() {
     assert!(distinct.len() > 3, "schedules vary with the seed");
 }
 
-// ---------------------------------------------------------------------------
-// Chaos over the network data plane (ayb_net)
-// ---------------------------------------------------------------------------
-
-/// The chaos configuration pointed at a coordinator instead of the store's
-/// on-disk shard plane.
-fn tcp_config(url: &str) -> FlowConfig {
-    let mut config = chaos_config();
-    config.transport = Some(url.to_string());
-    config
+/// A well-formed but poisoned outcome for a claimed variation task (every
+/// point lost, a bogus timing): if it were ever accepted, the digest could
+/// not match the reference.
+fn poisoned_like(work: &ShardWork) -> ShardOutcome {
+    let ShardWork::VariationBatch { points } = work else {
+        panic!("the zombie claims a variation task: {work:?}");
+    };
+    ShardOutcome::VariationBatch {
+        points: vec![
+            VariationOutcome {
+                data: None,
+                elapsed_seconds: 999.0,
+            };
+            points.len()
+        ],
+    }
 }
 
-/// The disk-plane crash schedules hold verbatim when the shards travel over
-/// TCP: every halt-and-resume history converges to the serial digest, and
-/// the run leaves a transport report naming the coordinator it used.
+// ---------------------------------------------------------------------------
+// Coordinator-side chaos
+// ---------------------------------------------------------------------------
+
+/// A crashed attempt leaves its open epoch in the coordinator, with shards a
+/// worker could still claim. The resumed flow drops it the moment it holds
+/// the run's claim — before it publishes anything — so no worker ever
+/// services a dead attempt's shards.
+#[test]
+fn a_resumed_flow_closes_its_crashed_predecessors_epochs() {
+    let expected = reference_digest();
+    let coordinator = coordinator();
+    let (root, store) = temp_store("reentry");
+    let run_id = "reentry";
+    let config = tcp_config(&coordinator.url());
+
+    // Crash at the second variation claim: the variation epoch is open and
+    // holds unclaimed batches.
+    let halted = FlowBuilder::new(config)
+        .with_seed(CHAOS_SEED)
+        .with_store(&store)
+        .with_run_id(run_id)
+        .halt_variation_when(boundary_hook(BoundaryKind::Claim, 2))
+        .run();
+    assert!(matches!(
+        halted,
+        Err(AybError::Checkpoint(CheckpointError::Halted { .. }))
+    ));
+    let stale = coordinator.describe();
+    assert_eq!(
+        stale.len(),
+        1,
+        "the crashed attempt left its epoch: {stale:?}"
+    );
+    let stale_epoch = stale[0].split(' ').next().unwrap().to_string();
+    assert!(
+        coordinator.stats().open_shards > 0,
+        "with work a worker could claim"
+    );
+
+    // At the resumed flow's first boundary its own epoch is the only one.
+    let checked = Arc::new(AtomicBool::new(false));
+    let hook: VariationHaltHook = {
+        let checked = Arc::clone(&checked);
+        let url = coordinator.url();
+        Arc::new(move |_| {
+            if !checked.swap(true, Ordering::SeqCst) {
+                let probe = TcpTransport::from_url(&url).unwrap();
+                assert_eq!(probe.coordinator_stats().unwrap().epochs, 1);
+                assert!(
+                    probe.fetch_outcome(&stale_epoch, 0).is_err(),
+                    "the predecessor's epoch is gone"
+                );
+            }
+            false
+        })
+    };
+    let result = FlowBuilder::resume(&store, run_id)
+        .expect("interrupted run resumes")
+        .halt_variation_when(hook)
+        .run()
+        .expect("the resumed flow completes");
+    assert!(
+        checked.load(Ordering::SeqCst),
+        "the resume reached a boundary"
+    );
+    assert_eq!(result.determinism_digest(), expected);
+    assert!(result.timings.shard_requests > 0);
+    assert_eq!(coordinator.stats().epochs, 0);
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// The crash schedules hold with the shards travelling over TCP, and the
+/// run leaves a transport report naming the coordinator it used.
 #[test]
 fn crash_schedules_over_the_tcp_plane_converge_to_the_reference_digest() {
     let expected = reference_digest();
-    let coordinator = Coordinator::bind("127.0.0.1:0", CoordinatorConfig::default())
-        .expect("coordinator binds an ephemeral port");
+    let coordinator = coordinator();
     let schedules: &[&[KillPoint]] = &[
         &[KillPoint::AtGenerationCheckpoint(2)],
         &[
@@ -363,13 +471,9 @@ fn crash_schedules_over_the_tcp_plane_converge_to_the_reference_digest() {
             ayb_core::TransportReport::from_value(&value).expect("transport report parses")
         };
         assert_eq!(report.transport, coordinator.url());
-        // The report counts the *final* attempt's traffic. A schedule whose
-        // last crash is at the epoch-close boundary leaves nothing for the
-        // last resume to shard (every generation and point is already
-        // checkpointed), so only the first schedule guarantees wire use.
-        if index == 0 {
-            assert!(report.requests > 0, "the wire was actually used");
-        }
+        // The report counts the *final* attempt's traffic, which always
+        // includes the close of its predecessor's epochs.
+        assert!(report.requests > 0, "the wire was actually used");
         let _ = std::fs::remove_dir_all(root);
     }
 }
@@ -498,10 +602,7 @@ fn hung_tcp_claim_is_stolen_and_the_late_zombie_write_is_fenced_off() {
             // The late write: poisoned (a lost analysis plus a bogus
             // timing), under the superseded token. If this were accepted,
             // the digest below could not match.
-            let poison = ShardOutcome::Variation(VariationOutcome {
-                data: None,
-                elapsed_seconds: 999.0,
-            });
+            let poison = poisoned_like(&task.work);
             let accepted = transport
                 .submit_with_token(&task.epoch, task.shard, task.token, &poison)
                 .expect("the epoch is held open until this write");
@@ -691,10 +792,7 @@ fn events_jsonl_reconstructs_the_fenced_zombie_timeline() {
                 assert!(Instant::now() < deadline, "the hung claim was never stolen");
                 std::thread::sleep(Duration::from_millis(5));
             }
-            let poison = ShardOutcome::Variation(VariationOutcome {
-                data: None,
-                elapsed_seconds: 999.0,
-            });
+            let poison = poisoned_like(&task.work);
             let accepted = transport
                 .submit_with_token(&task.epoch, task.shard, task.token, &poison)
                 .expect("the epoch is held open until this write");

@@ -232,13 +232,15 @@ proptest! {
 }
 
 proptest! {
-    // Each case runs three whole optimisations against a filesystem-backed
-    // shard plane; a smaller case count keeps the suite fast.
+    // Each case runs three whole optimisations at once against one
+    // in-process coordinator; a smaller case count keeps the suite fast.
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Sharded and unsharded evaluation of the same population return
     /// identical objective vectors (archives, counters) for all three
-    /// optimisers: the shard data plane moves work, never results.
+    /// optimisers even when the three sharded runs submit to one shared
+    /// coordinator at the same time: their epochs interleave on the plane,
+    /// yet each run gets back only its own results.
     #[test]
     fn sharded_and_unsharded_evaluation_are_identical_for_all_optimizers(
         seed in 0u64..10_000,
@@ -248,8 +250,7 @@ proptest! {
             FnProblem, GaConfig, ObjectiveSpec, OptimizerConfig, ShardedEvaluator,
             ShardingOptions, WithEvaluator,
         };
-        use ayb_store::ShardDataPlane;
-        use std::time::Duration;
+        use ayb_net::{Coordinator, CoordinatorConfig, TcpTransport};
 
         let problem = FnProblem::new(
             2,
@@ -262,30 +263,39 @@ proptest! {
                 }
             },
         );
+        let coordinator = Coordinator::bind("127.0.0.1:0", CoordinatorConfig::default())
+            .expect("coordinator binds an ephemeral port");
+        let addr = coordinator.local_addr().to_string();
         let ga = GaConfig::small_test().with_seed(seed);
-        for config in [
+        let configs = [
             OptimizerConfig::Wbga(ga),
             OptimizerConfig::Nsga2(ga),
             OptimizerConfig::RandomSearch { budget: 64, seed },
-        ] {
+        ];
+        let sharded: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = configs
+                .iter()
+                .map(|config| {
+                    let (problem, addr) = (&problem, addr.clone());
+                    scope.spawn(move || {
+                        let sharded_problem = WithEvaluator::new(
+                            problem,
+                            ShardedEvaluator::new(
+                                Box::new(TcpTransport::connect(addr)),
+                                ShardingOptions::with_shard_size(shard_size),
+                            ),
+                        );
+                        config.build().run(&sharded_problem)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("sharded run completes"))
+                .collect()
+        });
+        for (config, sharded) in configs.iter().zip(&sharded) {
             let reference = config.build().run(&problem);
-
-            let dir = std::env::temp_dir().join(format!(
-                "ayb-prop-shard-{}-{seed}-{shard_size}-{}",
-                std::process::id(),
-                config.name()
-            ));
-            let plane = ShardDataPlane::open(&dir, Duration::from_secs(30));
-            let sharded_problem = WithEvaluator::new(
-                &problem,
-                ShardedEvaluator::new(
-                    Box::new(plane),
-                    ShardingOptions::with_shard_size(shard_size),
-                ),
-            );
-            let sharded = config.build().run(&sharded_problem);
-            let _ = std::fs::remove_dir_all(&dir);
-
             prop_assert!(
                 reference.archive == sharded.archive,
                 "{}: archives must match",
@@ -316,8 +326,12 @@ proptest! {
     ) {
         use ayb_core::{FlowBuilder, FlowConfig};
         use ayb_moo::{GaConfig, OptimizerConfig};
+        use ayb_net::{Coordinator, CoordinatorConfig};
         use ayb_sim::SolverKind;
         use ayb_store::{Manifest, Store};
+
+        let coordinator = Coordinator::bind("127.0.0.1:0", CoordinatorConfig::default())
+            .expect("coordinator binds an ephemeral port");
 
         let mut config = FlowConfig::reduced();
         config.ga = GaConfig {
@@ -346,7 +360,7 @@ proptest! {
                 .run()
                 .expect("serial flow completes");
 
-            // Sharded: durable run, variation stage through the shard plane
+            // Sharded: durable run, variation stage through the coordinator
             // (no external workers — the submitter services every point).
             let dir = std::env::temp_dir().join(format!(
                 "ayb-prop-var-{}-{seed}-{front_limit}-{}",
@@ -359,8 +373,10 @@ proptest! {
                 .with_seed(seed)
                 .with_store(&store)
                 .sharded(true)
+                .with_coordinator(coordinator.url())
                 .run()
                 .expect("sharded flow completes");
+            prop_assert!(sharded.timings.shard_requests > 0, "the shards crossed the wire");
             // The durable manifest records the solver backend and batch
             // size, so a resume (or an `ayb serve` worker) reproduces the
             // exact kernel configuration.
@@ -406,6 +422,7 @@ proptest! {
     ) {
         use ayb_core::{FlowBuilder, FlowConfig};
         use ayb_moo::GaConfig;
+        use ayb_net::{Coordinator, CoordinatorConfig};
         use ayb_obs::{JsonlSink, Recorder};
         use ayb_store::Store;
 
@@ -434,13 +451,17 @@ proptest! {
         let store = Store::open(&dir).expect("store opens");
         let recorder = Recorder::new();
         recorder.add_sink(Box::new(JsonlSink::new(&side_log)));
+        let coordinator = Coordinator::bind("127.0.0.1:0", CoordinatorConfig::default())
+            .expect("coordinator binds an ephemeral port");
         let instrumented = FlowBuilder::new(config.clone())
             .with_seed(seed)
             .with_store(&store)
             .sharded(true)
+            .with_coordinator(coordinator.url())
             .with_recorder(recorder.clone())
             .run()
             .expect("instrumented flow completes");
+        prop_assert!(instrumented.timings.shard_requests > 0, "the shards crossed the wire");
 
         prop_assert!(
             serial.determinism_digest() == instrumented.determinism_digest(),
@@ -534,10 +555,10 @@ proptest! {
     // coordinator; a small case count keeps the suite fast.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Sharded evaluation over the *network* data plane (an in-process
+    /// Sharded evaluation over the shard data plane (an in-process
     /// coordinator spoken to through `TcpTransport`) returns objective
-    /// vectors identical to local evaluation for all three optimisers — the
-    /// wire, like the on-disk plane, moves work but never changes results.
+    /// vectors, archives and counters identical to local evaluation for all
+    /// three optimisers — the wire moves work but never changes results.
     #[test]
     fn tcp_sharded_evaluation_matches_local_for_all_optimizers(
         seed in 0u64..10_000,

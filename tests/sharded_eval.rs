@@ -1,21 +1,26 @@
 //! Integration tests for sharded multi-process execution: a flow run with
 //! `sharded` evaluation produces a `determinism_digest` bit-identical to the
-//! single-process run — alone, through a drain job server, and across
-//! multiple `ayb serve --shards-only` worker *processes* sharing one store,
-//! including after one of those workers is SIGKILLed mid-run and its shard
-//! claims are recovered. The same holds for the sharded Monte Carlo
-//! variation stage (one task per Pareto point), and a flow interrupted
-//! mid-variation resumes from its per-point checkpoints without re-analysing
-//! completed points.
+//! single-process run — alone against a coordinator, through a drain job
+//! server hosting its own coordinator, through the coordinator a serving
+//! job server advertises in the store (which peer servers on the store
+//! join, and take over when its host exits), and across multiple
+//! `ayb serve --shards-only` worker *processes*, including after one of
+//! those workers is SIGKILLed mid-run and its shard claims are stolen. The
+//! same holds for the sharded Monte Carlo variation stage, and a flow
+//! interrupted mid-variation resumes from its per-point checkpoints without
+//! re-analysing completed points. Every test that shards asserts
+//! `shard_requests > 0`, so the work provably crossed the wire; a sharded
+//! flow that finds no coordinator evaluates in-process and says so once.
 
 use ayb_core::{
-    AybError, FlowBuilder, FlowConfig, FlowObserver, FlowResult, FlowStage, VariationBoundary,
-    VariationHaltHook,
+    AybError, FlowBuilder, FlowConfig, FlowObserver, FlowResult, FlowStage, TransportReport,
+    VariationBoundary, VariationHaltHook,
 };
 use ayb_jobs::{JobServer, JobServerConfig};
 use ayb_moo::CheckpointError;
-use ayb_store::{RunStatus, ShardSummary, Store};
-use std::path::PathBuf;
+use ayb_net::{Coordinator, CoordinatorConfig};
+use ayb_store::{Manifest, RunStatus, Store};
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -51,6 +56,37 @@ fn sharded_config() -> FlowConfig {
     config
 }
 
+/// The sharded configuration pointed at a coordinator.
+fn tcp_config(url: &str) -> FlowConfig {
+    let mut config = sharded_config();
+    config.transport = Some(url.to_string());
+    config
+}
+
+/// A coordinator on an ephemeral loopback port. Workers heartbeat their
+/// claims every second, so a claim two seconds stale belongs to a dead (or
+/// SIGKILLed) worker and is stolen at the submitter's next recovery pass.
+fn coordinator() -> Coordinator {
+    Coordinator::bind(
+        "127.0.0.1:0",
+        CoordinatorConfig {
+            stale_after: Duration::from_secs(2),
+        },
+    )
+    .expect("coordinator binds an ephemeral port")
+}
+
+fn transport_report(store: &Store, run_id: &str) -> TransportReport {
+    use serde::Deserialize;
+    let value = store
+        .run(run_id)
+        .unwrap()
+        .transport_report_value()
+        .unwrap()
+        .expect("a sharded run persists its transport report");
+    TransportReport::from_value(&value).expect("transport report parses")
+}
+
 /// Sequential, store-less, unsharded reference digest for a seed.
 fn reference_digest(seed: u64) -> u64 {
     FlowBuilder::new(small_config())
@@ -73,10 +109,11 @@ fn stored_digest(store: &Store, run_id: &str) -> u64 {
 fn single_process_sharded_run_digests_identically_to_unsharded() {
     let (root, store) = temp_store("solo");
     let expected = reference_digest(41);
+    let coordinator = coordinator();
 
     // No workers anywhere: the submitting flow itself claims and evaluates
     // every shard it publishes.
-    let result = FlowBuilder::new(sharded_config())
+    let result = FlowBuilder::new(tcp_config(&coordinator.url()))
         .with_seed(41)
         .with_store(&store)
         .with_run_id("sharded-solo")
@@ -87,13 +124,17 @@ fn single_process_sharded_run_digests_identically_to_unsharded() {
         expected,
         "sharding must not change the result"
     );
+    assert!(
+        result.timings.shard_requests > 0,
+        "the shards crossed the wire"
+    );
 
     let handle = store.run("sharded-solo").unwrap();
     assert_eq!(handle.status().unwrap(), RunStatus::Completed);
     assert_eq!(handle.claim().unwrap(), None, "claim released");
     assert_eq!(
-        handle.shard_summary().unwrap(),
-        ShardSummary::default(),
+        coordinator.stats().epochs,
+        0,
         "every shard epoch was disposed after assembly"
     );
     assert_eq!(stored_digest(&store, "sharded-solo"), expected);
@@ -104,16 +145,197 @@ fn single_process_sharded_run_digests_identically_to_unsharded() {
 fn builder_flags_enable_sharding_without_touching_the_config() {
     let (root, store) = temp_store("flags");
     let expected = reference_digest(43);
+    let coordinator = coordinator();
     // `.sharded(true)` / `.shard_size(3)` on a plain config are equivalent
-    // to pre-setting the FlowConfig fields.
+    // to pre-setting the FlowConfig fields, and `.with_coordinator` routes
+    // the shards without recording the coordinator in the manifest.
     let result = FlowBuilder::new(small_config())
         .with_seed(43)
         .with_store(&store)
+        .with_run_id("flags")
         .sharded(true)
         .shard_size(3)
+        .with_coordinator(coordinator.url())
         .run()
         .expect("sharded flow completes");
     assert_eq!(result.determinism_digest(), expected);
+    assert!(
+        result.timings.shard_requests > 0,
+        "the shards crossed the wire"
+    );
+    let manifest: Manifest<FlowConfig> = store.run("flags").unwrap().manifest().unwrap();
+    assert!(manifest.flow.sharded);
+    assert_eq!(
+        manifest.flow.transport, None,
+        "the manifest keeps the config"
+    );
+    assert_eq!(
+        transport_report(&store, "flags").transport,
+        coordinator.url()
+    );
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// Counts `on_transport_degraded` notices.
+struct Degradations(Arc<AtomicUsize>);
+
+impl FlowObserver for Degradations {
+    fn on_transport_degraded(&mut self, _stage: FlowStage, _shard: usize, _detail: &str) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// A sharded flow with no coordinator to use — none advertised, an
+/// advertisement whose server died without withdrawing it, or a malformed
+/// `transport` in a hand-edited config — evaluates in-process with the
+/// unsharded digest and reports that exactly once.
+#[test]
+fn sharded_run_without_a_coordinator_evaluates_in_process_with_one_notice() {
+    let (root, store) = temp_store("nocoord");
+    let expected = reference_digest(44);
+    let dead = coordinator().url(); // bound, then dropped: nothing answers
+    let cases = [
+        (None, sharded_config()),
+        (Some(dead.as_str()), sharded_config()),
+        (Some(dead.as_str()), tcp_config("udp://127.0.0.1:1")),
+    ];
+    for (index, (advertised, config)) in cases.into_iter().enumerate() {
+        if let Some(url) = advertised {
+            store.advertise_coordinator(url).unwrap();
+        }
+        let notices = Arc::new(AtomicUsize::new(0));
+        let run_id = format!("nocoord-{index}");
+        let result = FlowBuilder::new(config)
+            .with_seed(44)
+            .with_store(&store)
+            .with_run_id(&run_id)
+            .with_observer(Degradations(Arc::clone(&notices)))
+            .run()
+            .expect("the flow completes in-process");
+        assert_eq!(result.determinism_digest(), expected);
+        assert_eq!(result.timings.shard_requests, 0);
+        assert_eq!(
+            notices.load(Ordering::SeqCst),
+            1,
+            "one notice, not one per shard"
+        );
+        let report = transport_report(&store, &run_id);
+        assert_eq!(report.transport, "in-process");
+        assert_eq!(report.incidents.len(), 1);
+    }
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// The serving lifecycle: a job server hosts a coordinator and advertises
+/// it in the store while it runs; a standalone sharded flow on the same
+/// store finds it there and its shards cross the wire; shutdown withdraws
+/// the advertisement.
+#[test]
+fn serving_job_server_advertises_its_coordinator_until_shutdown() {
+    let (root, store) = temp_store("advert");
+    let expected = reference_digest(45);
+    let server = JobServer::new(store.clone(), JobServerConfig::shards_only_with_workers(2));
+    let shutdown = server.shutdown_handle();
+    let serving = std::thread::spawn(move || server.run().expect("server runs"));
+
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    let url = loop {
+        if let Some(url) = store.advertised_coordinator() {
+            break url;
+        }
+        assert!(std::time::Instant::now() < deadline, "never advertised");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let result = FlowBuilder::new(sharded_config())
+        .with_seed(45)
+        .with_store(&store)
+        .with_run_id("advert")
+        .run()
+        .expect("the sharded flow completes");
+    assert_eq!(result.determinism_digest(), expected);
+    assert!(
+        result.timings.shard_requests > 0,
+        "the shards crossed the wire"
+    );
+    assert_eq!(transport_report(&store, "advert").transport, url);
+
+    shutdown.shutdown();
+    serving.join().expect("server thread joins");
+    assert_eq!(
+        store.advertised_coordinator(),
+        None,
+        "withdrawn at shutdown"
+    );
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// Waits until the store advertises a coordinator other than `previous`.
+fn await_advertisement(store: &Store, previous: Option<&str>) -> String {
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    loop {
+        match store.advertised_coordinator() {
+            Some(url) if Some(url.as_str()) != previous => return url,
+            _ => {}
+        }
+        assert!(std::time::Instant::now() < deadline, "never advertised");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// Servers on one store share one coordinator: a second server joins the
+/// advertised one instead of hosting (and advertising) its own, and when
+/// the hosting server shuts down, the joined one takes over hosting, so
+/// sharded runs on the store keep crossing the wire.
+#[test]
+fn job_servers_on_one_store_share_one_coordinator_and_fail_over() {
+    let (root, store) = temp_store("shared");
+    let expected = reference_digest(46);
+    let start = |store: &Store| {
+        let server = JobServer::new(store.clone(), JobServerConfig::shards_only_with_workers(1));
+        let shutdown = server.shutdown_handle();
+        (
+            shutdown,
+            std::thread::spawn(move || server.run().expect("server runs")),
+        )
+    };
+    let sharded_run = |id: &str| {
+        let result = FlowBuilder::new(sharded_config())
+            .with_seed(46)
+            .with_store(&store)
+            .with_run_id(id)
+            .run()
+            .expect("the sharded flow completes");
+        assert_eq!(result.determinism_digest(), expected);
+        assert!(
+            result.timings.shard_requests > 0,
+            "the shards crossed the wire"
+        );
+        transport_report(&store, id).transport
+    };
+
+    let (stop_first, first) = start(&store);
+    let hosted = await_advertisement(&store, None);
+    let (stop_second, second) = start(&store);
+    assert_eq!(sharded_run("joined"), hosted);
+    assert_eq!(
+        store.advertised_coordinator().as_deref(),
+        Some(hosted.as_str()),
+        "the second server joined instead of advertising its own"
+    );
+
+    stop_first.shutdown();
+    let first_report = first.join().expect("first server joins");
+    let successor = await_advertisement(&store, Some(&hosted));
+    assert_eq!(sharded_run("failed-over"), successor);
+
+    stop_second.shutdown();
+    let second_report = second.join().expect("second server joins");
+    assert!(first_report.shards_serviced + second_report.shards_serviced > 0);
+    assert_eq!(
+        store.advertised_coordinator(),
+        None,
+        "withdrawn at shutdown"
+    );
     let _ = std::fs::remove_dir_all(root);
 }
 
@@ -132,31 +354,44 @@ fn drain_server_executes_sharded_runs_to_the_reference_digest() {
         .id()
         .to_string();
 
-    // Two workers: one claims the run (and becomes the shard submitter),
-    // the idle one services shards — shard-first — until the queue drains.
+    // Two workers: one claims the run (and becomes the shard submitter,
+    // publishing to the coordinator the server hosts), the idle one
+    // services shards — shard-first — until the queue drains.
     let server = JobServer::new(store.clone(), JobServerConfig::drain_with_workers(2));
     let report = server.run().expect("server drains");
     assert_eq!(report.completed, vec![run_id.clone()], "report: {report:?}");
     assert!(report.failed.is_empty());
     assert_eq!(stored_digest(&store, &run_id), expected);
-    assert_eq!(
-        store.run(&run_id).unwrap().shard_summary().unwrap(),
-        ShardSummary::default()
+    let result: FlowResult = store.run(&run_id).unwrap().load_result().unwrap();
+    assert!(
+        result.timings.shard_requests > 0,
+        "the shards crossed the wire"
     );
+    let manifest: Manifest<FlowConfig> = store.run(&run_id).unwrap().manifest().unwrap();
+    assert_eq!(
+        manifest.flow.transport, None,
+        "the manifest keeps the config"
+    );
+    assert_eq!(store.advertised_coordinator(), None, "withdrawn at exit");
     let _ = std::fs::remove_dir_all(root);
 }
 
-fn spawn_shard_worker(root: &std::path::Path) -> Child {
+/// An `ayb serve --shards-only` worker process servicing the coordinator at
+/// `url`, with a scratch store of its own: the work and the flow
+/// configuration travel over the wire.
+fn spawn_shard_worker(scratch: &Path, url: &str) -> Child {
     Command::new(env!("CARGO_BIN_EXE_ayb"))
         .args([
             "serve",
             "--store",
-            root.to_str().expect("utf-8 store path"),
+            scratch.to_str().expect("utf-8 store path"),
             "--shards-only",
             "--workers",
             "2",
             "--poll-ms",
             "20",
+            "--transport",
+            url,
         ])
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
@@ -165,15 +400,16 @@ fn spawn_shard_worker(root: &std::path::Path) -> Child {
 }
 
 /// The acceptance scenario: a sharded flow evaluated across two independent
-/// `ayb serve --shards-only` worker *processes* over one store, with one
-/// worker SIGKILLed mid-run, still digests bit-identically to the
+/// `ayb serve --shards-only` worker *processes* servicing one coordinator,
+/// with one worker SIGKILLed mid-run, still digests bit-identically to the
 /// single-process unsharded run.
 #[test]
 fn multi_process_sharded_run_survives_a_sigkilled_worker_bit_identically() {
     let (root, store) = temp_store("multiproc");
     let expected = reference_digest(77);
+    let coordinator = coordinator();
 
-    let mut config = sharded_config();
+    let mut config = tcp_config(&coordinator.url());
     config.ga.seed = 77;
     config.monte_carlo.seed = 77;
     let optimizer = ayb_moo::OptimizerConfig::Wbga(config.ga);
@@ -183,12 +419,12 @@ fn multi_process_sharded_run_survives_a_sigkilled_worker_bit_identically() {
         .id()
         .to_string();
 
-    // Two worker processes scanning the same store for shard tasks.
-    let doomed = spawn_shard_worker(&root);
-    let survivor = spawn_shard_worker(&root);
+    // Two worker processes polling the coordinator for shard tasks.
+    let doomed = spawn_shard_worker(&root.join("doomed"), &coordinator.url());
+    let survivor = spawn_shard_worker(&root.join("survivor"), &coordinator.url());
 
     // SIGKILL one worker mid-run — whatever shard claim it holds right then
-    // must be recovered by the submitter without perturbing the result.
+    // goes stale and is stolen without perturbing the result.
     let killer = std::thread::spawn(move || {
         std::thread::sleep(Duration::from_millis(700));
         let mut doomed = doomed;
@@ -206,6 +442,10 @@ fn multi_process_sharded_run_survives_a_sigkilled_worker_bit_identically() {
         result.determinism_digest(),
         expected,
         "two worker processes and a SIGKILL change nothing about the result"
+    );
+    assert!(
+        result.timings.shard_requests > 0,
+        "the shards crossed the wire"
     );
 
     let doomed_output = killer.join().expect("killer thread joins");
@@ -229,7 +469,7 @@ fn multi_process_sharded_run_survives_a_sigkilled_worker_bit_identically() {
     let handle = store.run(&run_id).unwrap();
     assert_eq!(handle.status().unwrap(), RunStatus::Completed);
     assert_eq!(handle.claim().unwrap(), None);
-    assert_eq!(handle.shard_summary().unwrap(), ShardSummary::default());
+    assert_eq!(coordinator.stats().epochs, 0, "no epoch outlives the run");
     assert_eq!(stored_digest(&store, &run_id), expected);
     let _ = std::fs::remove_dir_all(root);
 }
@@ -254,6 +494,7 @@ impl FlowObserver for VariationTicks {
 fn interrupted_variation_resumes_from_per_point_checkpoints() {
     let (root, store) = temp_store("varresume");
     let expected = reference_digest(99);
+    let coordinator = coordinator();
 
     // Halt at the third variation result-write boundary — the deterministic
     // stand-in for a SIGKILL right after the third point's checkpoint landed.
@@ -265,7 +506,7 @@ fn interrupted_variation_resumes_from_per_point_checkpoints() {
             _ => false,
         })
     };
-    let halted = FlowBuilder::new(sharded_config())
+    let halted = FlowBuilder::new(tcp_config(&coordinator.url()))
         .with_seed(99)
         .with_store(&store)
         .with_run_id("var-halt")
@@ -306,6 +547,10 @@ fn interrupted_variation_resumes_from_per_point_checkpoints() {
         expected,
         "interrupt + resume mid-variation changes nothing about the result"
     );
+    assert!(
+        result.timings.shard_requests > 0,
+        "the resume crossed the wire"
+    );
     let total = result.timings.mc_points;
     assert_eq!(
         ticks.load(Ordering::SeqCst),
@@ -328,30 +573,37 @@ fn interrupted_variation_resumes_from_per_point_checkpoints() {
         );
     }
     assert_eq!(handle.status().unwrap(), RunStatus::Completed);
-    assert_eq!(handle.shard_summary().unwrap(), ShardSummary::default());
+    assert_eq!(
+        coordinator.stats().epochs,
+        0,
+        "the resume closed the halted attempt's epoch"
+    );
     let _ = std::fs::remove_dir_all(root);
 }
 
 /// The variation acceptance scenario: the Monte Carlo stage of a sharded
-/// flow is serviced by real `ayb serve --shards-only` worker *processes*,
+/// flow is serviced by real `ayb serve --shards-only` worker *processes*
+/// polling one coordinator,
 /// one of which is SIGKILLed mid-variation-epoch — the run still completes
 /// with the serial reference digest, and the workers provably analysed
 /// points out-of-process.
 #[test]
 fn variation_stage_shards_across_processes_and_survives_a_sigkilled_worker() {
     let (root, store) = temp_store("varproc");
+    let coordinator = coordinator();
 
     // Variation-heavy configuration: a short optimisation, then eight
     // 240-sample Monte Carlo points shipped as four two-point batches —
     // most of the wall clock is stage 4, and each batch takes many worker
     // poll intervals, so the external workers provably claim some.
-    let mut config = sharded_config();
+    let mut config = tcp_config(&coordinator.url());
     config.ga.generations = 3;
     config.monte_carlo.samples = 240;
     config.variation_batch = 2;
     let expected = {
         let mut serial = config.clone();
         serial.sharded = false;
+        serial.transport = None;
         FlowBuilder::new(serial)
             .with_seed(123)
             .run()
@@ -368,8 +620,8 @@ fn variation_stage_shards_across_processes_and_survives_a_sigkilled_worker() {
         .id()
         .to_string();
 
-    let doomed = spawn_shard_worker(&root);
-    let survivor = spawn_shard_worker(&root);
+    let doomed = spawn_shard_worker(&root.join("doomed"), &coordinator.url());
+    let survivor = spawn_shard_worker(&root.join("survivor"), &coordinator.url());
 
     // The submitter executes in a thread; the main thread watches the store
     // and SIGKILLs one worker as soon as the variation stage is provably in
@@ -405,6 +657,10 @@ fn variation_stage_shards_across_processes_and_survives_a_sigkilled_worker() {
         expected,
         "worker processes and a SIGKILL mid-variation change nothing"
     );
+    assert!(
+        result.timings.shard_requests > 0,
+        "the shards crossed the wire"
+    );
 
     let mut survivor = survivor;
     survivor.kill().expect("survivor stops");
@@ -421,7 +677,7 @@ fn variation_stage_shards_across_processes_and_survives_a_sigkilled_worker() {
 
     assert_eq!(handle.status().unwrap(), RunStatus::Completed);
     assert_eq!(handle.claim().unwrap(), None);
-    assert_eq!(handle.shard_summary().unwrap(), ShardSummary::default());
+    assert_eq!(coordinator.stats().epochs, 0, "no epoch outlives the run");
     assert_eq!(stored_digest(&store, &run_id), expected);
     let _ = std::fs::remove_dir_all(root);
 }
